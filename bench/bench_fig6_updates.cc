@@ -27,30 +27,27 @@ struct Timing {
   double commit_us = 0;
 };
 
-// --- Writer-thread scaling + commit-pipeline ablation ----------------------
+// --- Writer-thread scaling ---------------------------------------------------
 //
 // IU-style update transactions (insert a person-like node with properties
 // plus a knows-like edge) on emulated PMem, swept over writer threads
-// (1/2/4/8) with the parallel commit pipeline (segments + flush coalescing +
-// group commit + background GC) on vs the serialized seed baseline off.
-// Emits per-commit wall-clock ns per configuration into the fig6 JSON.
+// (1/2/4/8) through the parallel commit pipeline (segments + flush
+// coalescing + group commit + background GC). Emits per-commit wall-clock ns
+// per writer count into the fig6 JSON.
 
 struct ScalingResult {
   double per_commit_ns = 0;
   double commits_per_sec = 0;
 };
 
-ScalingResult RunUpdateScaling(bool pipeline_on, int writers,
-                               uint64_t total_txs) {
+ScalingResult RunUpdateScaling(int writers, uint64_t total_txs) {
   core::GraphDbOptions options;
   options.capacity = 1ull << 30;
   options.path = "/tmp/poseidon_bench_fig6_scale_" +
-                 std::to_string(::getpid()) + "_" +
-                 (pipeline_on ? std::string("on") : std::string("off")) + "_" +
-                 std::to_string(writers) + ".pmem";
+                 std::to_string(::getpid()) + "_" + std::to_string(writers) +
+                 ".pmem";
   std::filesystem::remove(options.path);
   options.enable_query_cache = false;
-  options.commit_pipeline = pipeline_on ? 1 : 0;
   BENCH_ASSIGN(auto db, core::GraphDb::Create(options));
   auto* txm = db->txm();
   auto* store = db->store();
@@ -127,28 +124,24 @@ ScalingResult RunUpdateScaling(bool pipeline_on, int writers,
   return out;
 }
 
-void RunScalingAblation(BenchJson* json) {
+void RunWriterScaling(BenchJson* json) {
   std::printf(
-      "\n=== IU commit scaling: pipeline (segments+coalescing+group commit"
-      "+bg GC) vs serialized baseline ===\n");
+      "\n=== IU commit scaling: segments + coalescing + group commit + bg GC"
+      " ===\n");
   uint64_t total_txs = EnvU64("POSEIDON_BENCH_UPDATE_TXS", 4000);
-  std::printf("%-8s | %14s %14s | %14s %14s | %7s\n", "writers",
-              "on commits/s", "on ns/commit", "off commits/s", "off ns/commit",
-              "speedup");
+  std::printf("%-8s | %14s %14s\n", "writers", "commits/s", "ns/commit");
   for (int writers : {1, 2, 4, 8}) {
-    ScalingResult on = RunUpdateScaling(true, writers, total_txs);
-    ScalingResult off = RunUpdateScaling(false, writers, total_txs);
-    double speedup = off.per_commit_ns / on.per_commit_ns;
-    std::printf("%-8d | %14.0f %14.1f | %14.0f %14.1f | %6.2fx\n", writers,
-                on.commits_per_sec, on.per_commit_ns, off.commits_per_sec,
-                off.per_commit_ns, speedup);
-    std::string tag = "iu_commit_w" + std::to_string(writers);
-    json->Add(tag + "_pipeline_on", on.per_commit_ns);
-    json->Add(tag + "_pipeline_off", off.per_commit_ns);
+    ScalingResult r = RunUpdateScaling(writers, total_txs);
+    std::printf("%-8d | %14.0f %14.1f\n", writers, r.commits_per_sec,
+                r.per_commit_ns);
+    // The key keeps its historical name so runs stay comparable with the
+    // committed baselines.
+    json->Add("iu_commit_w" + std::to_string(writers) + "_pipeline_on",
+              r.per_commit_ns);
   }
   std::printf(
-      "expected shape: >= 1.5x at 4 writers — the serialized baseline "
-      "flatlines while segments + group commit keep scaling.\n");
+      "expected shape: more commits/s at 2-4 writers than at 1 "
+      "(independent redo segments, shared group-commit drains).\n");
 }
 
 int Main() {
@@ -254,7 +247,7 @@ int Main() {
   std::filesystem::remove_all(disk_options.dir);
 
   BenchJson json("fig6_updates");
-  RunScalingAblation(&json);
+  RunWriterScaling(&json);
   json.Write();
   return 0;
 }

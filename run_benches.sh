@@ -25,44 +25,54 @@
 #     (ctest -L scrub): randomized media faults, repair and quarantine,
 #     where repairs that dereference corrupt offsets become wild accesses;
 #   * build-psan/ (POSEIDON_PSAN): the persist-order sanitizer suites
-#     (ctest -L psan) — seeded-bug detection plus the commit pipeline and
-#     crash explorer re-run with durability-ordering checks armed.
+#     (ctest -L psan) — seeded-bug detection plus the commit pipeline,
+#     crash explorer, media-fault and overload suites re-run with
+#     durability-ordering checks armed.
+# The morsel-driver suite (ctest -L driver: cross-mode equivalence table,
+# engine teardown with an adaptive compile in flight, per-query waits) runs
+# in both the TSAN and the ASan stage.
 # Every stage fails the check on violations (set -e).
+
+ROOT=$(cd "$(dirname "$0")" && pwd)
 
 if [ "${1:-}" = "--check" ]; then
   set -e
-  (cd /root/repo && python3 tools/lint_pptr_stores.py)
+  (cd "$ROOT" && python3 tools/lint_pptr_stores.py)
   echo "LINT CHECK DONE"
-  cmake -B /root/repo/build-tsan -S /root/repo -DPOSEIDON_TSAN=ON
-  cmake --build /root/repo/build-tsan -j"$(nproc)" --target \
+  cmake -B "$ROOT"/build-tsan -S "$ROOT" -DPOSEIDON_TSAN=ON
+  cmake --build "$ROOT"/build-tsan -j"$(nproc)" --target \
       concurrency_test mvto_test commit_pipeline_test tx_edge_test \
-      adjacency_cache_test readpath_scaling_test overload_test
-  ctest --test-dir /root/repo/build-tsan -L tsan --output-on-failure
-  ctest --test-dir /root/repo/build-tsan -L readpath --output-on-failure
-  ctest --test-dir /root/repo/build-tsan -L overload --output-on-failure
+      adjacency_cache_test readpath_scaling_test overload_test \
+      morsel_driver_test
+  ctest --test-dir "$ROOT"/build-tsan -L tsan --output-on-failure
+  ctest --test-dir "$ROOT"/build-tsan -L readpath --output-on-failure
+  ctest --test-dir "$ROOT"/build-tsan -L overload --output-on-failure
+  ctest --test-dir "$ROOT"/build-tsan -L driver --output-on-failure
   echo "TSAN CHECK DONE"
   # fig11 smoke: a ~2 s closed-loop run of the throughput bench on the
   # regular build. Catches read-path regressions (snapshot publication
   # stalls, fallback storms) that unit tests are too short to surface;
   # PSAN violation accounting is asserted inside the bench itself.
-  cmake --build /root/repo/build -j"$(nproc)" --target bench_fig11_throughput
+  cmake --build "$ROOT"/build -j"$(nproc)" --target bench_fig11_throughput
   POSEIDON_BENCH_FIG11_MS=100 POSEIDON_BENCH_FIG11_ABLATE_MS=150 \
   POSEIDON_BENCH_FIG11_THREADS=1,4 POSEIDON_BENCH_FIG11_ABLATE_THREADS=4 \
   POSEIDON_BENCH_FIG11_MODES=aot POSEIDON_BENCH_JSON_DIR="" \
-      timeout 120 /root/repo/build/bench/bench_fig11_throughput
+      timeout 120 "$ROOT"/build/bench/bench_fig11_throughput
   echo "FIG11 SMOKE DONE"
-  cmake -B /root/repo/build-asan -S /root/repo -DPOSEIDON_ASAN=ON
-  cmake --build /root/repo/build-asan -j"$(nproc)" --target \
+  cmake -B "$ROOT"/build-asan -S "$ROOT" -DPOSEIDON_ASAN=ON
+  cmake --build "$ROOT"/build-asan -j"$(nproc)" --target \
       crash_explorer_test fault_injection_test crash_property_test \
-      media_fault_test overload_test
-  ctest --test-dir /root/repo/build-asan -L fault --output-on-failure
-  ctest --test-dir /root/repo/build-asan -L scrub --output-on-failure
-  ctest --test-dir /root/repo/build-asan -L overload --output-on-failure
+      media_fault_test overload_test morsel_driver_test
+  ctest --test-dir "$ROOT"/build-asan -L fault --output-on-failure
+  ctest --test-dir "$ROOT"/build-asan -L scrub --output-on-failure
+  ctest --test-dir "$ROOT"/build-asan -L overload --output-on-failure
+  ctest --test-dir "$ROOT"/build-asan -L driver --output-on-failure
   echo "ASAN FAULT CHECK DONE"
-  cmake -B /root/repo/build-psan -S /root/repo -DPOSEIDON_PSAN=ON
-  cmake --build /root/repo/build-psan -j"$(nproc)" --target \
-      psan_test latency_model_test commit_pipeline_test crash_explorer_test
-  ctest --test-dir /root/repo/build-psan -L psan --output-on-failure
+  cmake -B "$ROOT"/build-psan -S "$ROOT" -DPOSEIDON_PSAN=ON
+  cmake --build "$ROOT"/build-psan -j"$(nproc)" --target \
+      psan_test latency_model_test commit_pipeline_test crash_explorer_test \
+      media_fault_test overload_test
+  ctest --test-dir "$ROOT"/build-psan -L psan --output-on-failure
   echo "PSAN CHECK DONE"
   exit 0
 fi
@@ -70,11 +80,11 @@ fi
 export POSEIDON_BENCH_PERSONS=${POSEIDON_BENCH_PERSONS:-1000}
 export POSEIDON_BENCH_RUNS=${POSEIDON_BENCH_RUNS:-50}
 export POSEIDON_BENCH_THREADS=${POSEIDON_BENCH_THREADS:-2}
-out=${1:-/root/repo/bench_output.txt}
+out=${1:-$ROOT/bench_output.txt}
 json_dir=${2:-$(dirname "$out")}
 export POSEIDON_BENCH_JSON_DIR="$json_dir"
 : > "$out"
-for b in /root/repo/build/bench/bench_*; do
+for b in "$ROOT"/build/bench/bench_*; do
   [ -x "$b" ] || continue
   name=$(basename "$b")
   echo "===== $name =====" | tee -a "$out"

@@ -10,7 +10,6 @@ GraphDb::~GraphDb() {
   // handler (store, indexes, transaction manager) is torn down.
   if (scrubber_ != nullptr) scrubber_->Stop();
   if (pool_ != nullptr) pool_->SetCorruptionHandler(nullptr);
-  if (engine_ != nullptr) engine_->WaitForBackgroundCompiles();
 }
 
 Result<std::unique_ptr<GraphDb>> GraphDb::Create(
@@ -36,7 +35,6 @@ Result<std::unique_ptr<GraphDb>> GraphDb::Init(const GraphDbOptions& options,
   pool_options.crash_shadow = options.crash_shadow;
   pool_options.has_latency_override = options.has_latency_override;
   pool_options.latency_override = options.latency_override;
-  pool_options.commit_pipeline = options.commit_pipeline;
   pool_options.redo_segments = options.redo_segments;
 
   if (create) {
@@ -115,8 +113,7 @@ Result<std::unique_ptr<GraphDb>> GraphDb::Init(const GraphDbOptions& options,
 std::string GraphDb::Explain(const query::Plan& plan) const {
   query::ExplainAnnotation ann;
   ann.threads = engine_->pool()->num_threads();
-  ann.morsel = query::QueryEngine::kMorselSize;
-  ann.batch = engine_->scan_options().batch_enabled;
+  ann.morsel = jit::kMorselSize;
   const tx::AdjacencyCacheStats adj = txm_->adjacency_cache().stats();
   ann.adj_cache =
       engine_->adj_cache_enabled() && txm_->adjacency_cache().enabled();

@@ -42,14 +42,9 @@ struct GraphDbOptions {
   /// to measure pure software overhead).
   bool has_latency_override = false;
   pmem::LatencyModel latency_override;
-  /// Batched-scan knobs (batch size, prefetch distance, batching on/off)
-  /// applied to all executions; defaults honour the POSEIDON_SCAN_* env
-  /// variables for ablation sweeps.
+  /// Batched-scan knobs (batch size, prefetch distance) applied to all
+  /// executions; defaults honour the POSEIDON_SCAN_* env variables.
   storage::ScanOptions scan = storage::ScanOptions::FromEnv();
-  /// Parallel commit pipeline master switch: -1 = POSEIDON_COMMIT_PIPELINE
-  /// env (default on). Off reproduces the serialized baseline commit path
-  /// for ablations.
-  int commit_pipeline = -1;
   /// Redo-log segment count: 0 = POSEIDON_REDO_SEGMENTS env (default 8).
   uint32_t redo_segments = 0;
 };
@@ -206,6 +201,8 @@ class GraphDb {
   std::unique_ptr<index::IndexManager> indexes_;
   std::unique_ptr<tx::TransactionManager> txm_;
   std::unique_ptr<jit::QueryCache> qcache_;
+  // Destroyed first: its compile worker drains while the query cache, store
+  // and pool that background compiles touch are still alive.
   std::unique_ptr<jit::JitQueryEngine> engine_;
   bool recovered_ = false;
 };

@@ -48,12 +48,11 @@ struct CodegenResult {
 };
 
 /// Generates the IR module for `plan`. `function_name` must be unique per
-/// module (the engine derives it from the plan signature hash). `scan`
-/// selects the scan-loop shape baked into the code: with batching enabled
-/// the node-scan source iterates occupancy bitmap words (whole-word skip
-/// test, cttz bit extraction) and issues software prefetches for the next
-/// occupied record and the next chunk header; the knobs are part of the
-/// compiled-code cache key.
+/// module (the engine derives it from the plan signature hash). The
+/// node-scan source iterates occupancy bitmap words (whole-word skip test,
+/// cttz bit extraction); `scan.prefetch_distance` > 0 adds software
+/// prefetches for the next occupied record and the next chunk header. The
+/// knobs are part of the compiled-code cache key.
 ///
 /// `adj_cache` bakes the DRAM adjacency-cache fast path into every kExpand:
 /// a per-node poseidon_expand_cached probe plus a DRAM array loop, with the

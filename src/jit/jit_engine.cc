@@ -131,25 +131,11 @@ uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
       HashCombine(HashString(plan.Signature()), options.optimize ? 1 : 2);
   // The scan knobs are codegen inputs (they change the emitted loop), so
   // they participate in the cache key.
-  id = HashCombine(id, options.scan.batch_enabled ? 1 : 2);
   id = HashCombine(id, options.scan.batch_size);
   id = HashCombine(id, options.scan.prefetch_distance);
   // So is the adjacency-cache fast path (dual Expand loop vs chain walk).
   id = HashCombine(id, options.adj_cache ? 1 : 2);
   return id;
-}
-
-bool JitEngine::TryGetMemoized(const query::Plan& plan,
-                               const JitOptions& options,
-                               CompiledQuery* out) {
-  uint64_t query_id = QueryIdFor(plan, options);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = memo_.find(query_id);
-  if (it == memo_.end()) return false;
-  *out = it->second;
-  out->from_memo = true;
-  out->codegen_ms = out->optimize_ms = out->compile_ms = 0;
-  return true;
 }
 
 Result<CompiledQuery> JitEngine::Compile(const query::Plan& plan,

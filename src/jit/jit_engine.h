@@ -72,12 +72,6 @@ class JitEngine {
   Result<CompiledQuery> Compile(const query::Plan& plan,
                                 const JitOptions& options = {});
 
-  /// Memo-only probe: returns the already-compiled query without doing any
-  /// work (the adaptive engine checks this before spawning a background
-  /// compilation — §6.2's "lookup ... for already compiled code").
-  bool TryGetMemoized(const query::Plan& plan, const JitOptions& options,
-                      CompiledQuery* out);
-
   /// Two-phase compilation for adaptive execution: BeginCompile performs
   /// every plan-dependent step (memo/cache probe + IR generation)
   /// synchronously — afterwards the plan may be destroyed — and

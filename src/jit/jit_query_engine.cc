@@ -1,23 +1,24 @@
 #include "jit/jit_query_engine.h"
 
-#include <thread>
+#include <algorithm>
+#include <condition_variable>
 
 namespace poseidon::jit {
 
 using query::PipelineExecutor;
-using query::QueryEngine;
 using query::QueryResult;
 
 namespace {
 
 constexpr uint32_t kMaxHandleSlots = 64;
 
-/// Builds the shared runtime state for one execution.
+/// Builds the shared runtime state for one execution: handle storage for
+/// the calling thread (slot 0) plus one slot per pool worker.
 std::unique_ptr<JitRuntimeState> MakeState(const query::Plan& plan,
                                            query::ExecContext ctx,
                                            query::ResultCollector* collector,
                                            PipelineExecutor* exec,
-                                           size_t num_threads) {
+                                           size_t num_workers) {
   auto state = std::make_unique<JitRuntimeState>();
   const auto& nodes = ctx.store->nodes();
   const auto& rels = ctx.store->relationships();
@@ -40,8 +41,8 @@ std::unique_ptr<JitRuntimeState> MakeState(const query::Plan& plan,
   state->executor = exec;
   state->plan = &plan;
   state->ops = exec->ops();
-  state->threads.reserve(num_threads + 1);
-  for (size_t t = 0; t < num_threads + 1; ++t) {
+  state->threads.reserve(num_workers + 1);
+  for (size_t t = 0; t < num_workers + 1; ++t) {
     auto slots = std::make_unique<JitRuntimeState::ThreadSlots>();
     slots->snapshots.resize(kMaxHandleSlots);
     slots->adj_holds.resize(kMaxHandleSlots);
@@ -73,42 +74,120 @@ Result<std::unique_ptr<JitQueryEngine>> JitQueryEngine::Create(
   return engine;
 }
 
-void JitQueryEngine::WaitForBackgroundCompiles() {
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  bg_done_.wait(lock, [this] { return bg_inflight_ == 0; });
+void JitQueryEngine::CompileInBackground(
+    const query::Plan& plan, const JitOptions& options,
+    const std::shared_ptr<std::atomic<CompiledQueryFn>>& task_fn,
+    ExecStats* stats) {
+  // The plan-dependent phases (memo/cache probe + IR generation) run
+  // synchronously — sub-millisecond — so the caller's plan may be destroyed
+  // right after Execute returns; only the expensive optimization,
+  // compilation and linking run on the compile worker.
+  auto pending = engine_->BeginCompile(plan, options);
+  if (!pending.ok()) {
+    stats->jit_fallback = true;  // all morsels run interpreted
+    return;
+  }
+  if (pending->done) {
+    // Memo/cache hit (§6.2: "If the code is found, it will be linked with
+    // the current database instance").
+    if (pending->result.num_handle_slots <= kMaxHandleSlots) {
+      task_fn->store(pending->result.fn, std::memory_order_release);
+      stats->memo_hit = pending->result.from_memo;
+      stats->cache_hit = pending->result.from_persistent_cache;
+    }
+    return;
+  }
+  // Repeated adaptive runs of an in-flight query must not queue it twice.
+  uint64_t qid = pending->result.query_id;
+  {
+    std::lock_guard<std::mutex> lock(bg_mu_);
+    if (!bg_query_ids_.insert(qid).second) return;
+  }
+  auto shared_pending =
+      std::make_shared<JitEngine::PendingCompile>(std::move(*pending));
+  compiler_.Submit([this, shared_pending, task_fn, qid] {
+    auto compiled = engine_->FinishCompile(std::move(*shared_pending));
+    if (compiled.ok() && compiled->num_handle_slots <= kMaxHandleSlots) {
+      task_fn->store(compiled->fn, std::memory_order_release);
+    }
+    std::lock_guard<std::mutex> lock(bg_mu_);
+    bg_query_ids_.erase(qid);
+  });
 }
 
-Status JitQueryEngine::RunCompiledSerial(const CompiledQuery& compiled,
-                                         JitRuntimeState* state,
-                                         PipelineExecutor* exec,
-                                         ExecStats* stats) {
-  if (compiled.num_handle_slots > kMaxHandleSlots) {
-    return Status::Internal("query exceeds the handle-slot budget");
+Status JitQueryEngine::RunMorsels(PipelineExecutor* exec,
+                                  const std::atomic<CompiledQueryFn>& task_fn,
+                                  JitRuntimeState* state, bool parallel,
+                                  tx::Transaction* tx, ExecStats* stats) {
+  const bool range = exec->HasRangeSource();
+  const uint64_t units = range ? exec->SourceCardinality() : 1;
+  const uint64_t morsels = (units + kMorselSize - 1) / kMorselSize;
+
+  std::atomic<uint64_t> next{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> jit_morsels{0};
+  std::atomic<uint64_t> interpreted_morsels{0};
+  std::mutex error_mu;
+  Status first_error;
+
+  // A runner pulls morsels until the source is exhausted, a Limit is
+  // satisfied (compiled code 1 or the interpreter's stop signal), a morsel
+  // fails, or the cancel token trips. `worker` addresses the JIT handle
+  // storage: 0 is the calling thread, pool workers use their index + 1.
+  auto runner = [&](uint32_t worker) {
+    while (!stop.load(std::memory_order_acquire)) {
+      uint64_t m = next.fetch_add(1, std::memory_order_relaxed);
+      if (m >= morsels) return;
+      uint64_t begin = m * kMorselSize;
+      uint64_t end = std::min(begin + kMorselSize, units);
+      bool done = false;
+      Status s = tx->cancel_token()->Check();
+      if (s.ok()) {
+        if (CompiledQueryFn fn = task_fn.load(std::memory_order_acquire)) {
+          int32_t code = fn(state, begin, end, worker);
+          jit_morsels.fetch_add(1, std::memory_order_relaxed);
+          done = code == 1;
+          s = StatusFromCode(code, state);
+        } else {
+          s = exec->RunMorsel(begin, end, &done);
+          interpreted_morsels.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      if (!s.ok()) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error.ok()) first_error = s;
+        done = true;
+      }
+      if (done) stop.store(true, std::memory_order_release);
+    }
+  };
+
+  if (parallel && morsels > 1) {
+    // Wait for this query's runners only, never for the whole pool: another
+    // query's long morsel must not delay this one.
+    const size_t runners = std::min<uint64_t>(pool_.num_threads(), morsels);
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    size_t finished = 0;
+    for (size_t r = 0; r < runners; ++r) {
+      pool_.Submit([&] {
+        runner(static_cast<uint32_t>(ThreadPool::current_worker_index() + 1));
+        std::lock_guard<std::mutex> lock(done_mu);
+        if (++finished == runners) done_cv.notify_one();
+      });
+    }
+    std::unique_lock<std::mutex> lock(done_mu);
+    done_cv.wait(lock, [&] { return finished == runners; });
+  } else {
+    runner(0);
   }
-  // NodeScan and index sources are range sources: the compiled function
-  // consumes [begin, end) morsels (slot ids / match positions). Create
-  // pipelines take a single invocation.
-  uint64_t slots = exec->SourceCardinality();
-  const query::Op* front = exec->ops().empty() ? nullptr : exec->ops().front();
-  bool range_source =
-      front != nullptr && (front->kind == query::OpKind::kNodeScan ||
-                           front->kind == query::OpKind::kIndexScan ||
-                           front->kind == query::OpKind::kIndexRangeScan);
-  if (!range_source) {
-    int32_t code = compiled.fn(state, 0, 1, 0);
-    if (stats != nullptr) ++stats->jit_morsels;
-    return StatusFromCode(code, state);
-  }
-  for (uint64_t begin = 0; begin < slots;
-       begin += QueryEngine::kMorselSize) {
-    POSEIDON_RETURN_IF_ERROR(state->ctx.tx->cancel_token()->Check());
-    uint64_t end = std::min(begin + QueryEngine::kMorselSize, slots);
-    int32_t code = compiled.fn(state, begin, end, 0);
-    if (stats != nullptr) ++stats->jit_morsels;
-    POSEIDON_RETURN_IF_ERROR(StatusFromCode(code, state));
-    if (code == 1) break;  // limit satisfied
-  }
-  return Status::Ok();
+
+  stats->jit_morsels = jit_morsels.load(std::memory_order_relaxed);
+  stats->interpreted_morsels =
+      interpreted_morsels.load(std::memory_order_relaxed);
+  stats->used_jit = stats->jit_morsels > 0;
+  POSEIDON_RETURN_IF_ERROR(first_error);
+  return exec->Finish();
 }
 
 Result<QueryResult> JitQueryEngine::Execute(
@@ -147,187 +226,39 @@ Result<QueryResult> JitQueryEngine::Execute(
   PipelineExecutor exec(plan, ctx, &collector);
   POSEIDON_RETURN_IF_ERROR(exec.Prepare());
 
-  // The body runs in an IIFE so a cancellation/deadline abort still flows
-  // through the stats classification below before propagating to the caller.
-  Status run_status = [&]() -> Status {
-  switch (mode) {
-    case ExecutionMode::kInterpret: {
-      POSEIDON_RETURN_IF_ERROR(exec.Run());
-      ++stats->interpreted_morsels;
-      break;
-    }
-
-    case ExecutionMode::kInterpretParallel: {
-      uint64_t slots = exec.SourceCardinality();
-      if (slots == 0) {
-        POSEIDON_RETURN_IF_ERROR(exec.Run());
-        ++stats->interpreted_morsels;
-        break;
-      }
-      std::mutex status_mu;
-      Status first_error;
-      for (uint64_t begin = 0; begin < slots;
-           begin += QueryEngine::kMorselSize) {  // parallel morsels
-        // Stop feeding the pool once the token trips; in-flight morsels
-        // observe the same token inside RunMorsel's push loops.
-        Status admit = tx->cancel_token()->Check();
-        if (!admit.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          if (first_error.ok()) first_error = admit;
-          break;
-        }
-        uint64_t end = std::min(begin + QueryEngine::kMorselSize, slots);
-        pool_.Submit([&exec, &status_mu, &first_error, begin, end] {
-          Status s = exec.RunMorsel(begin, end);
-          if (!s.ok()) {
-            std::lock_guard<std::mutex> lock(status_mu);
-            if (first_error.ok()) first_error = s;
-          }
-        });
-        ++stats->interpreted_morsels;
-      }
-      pool_.WaitIdle();
-      POSEIDON_RETURN_IF_ERROR(first_error);
-      POSEIDON_RETURN_IF_ERROR(exec.Finish());
-      break;
-    }
-
-    case ExecutionMode::kJit: {
-      auto compiled = engine_->Compile(plan, jit_options);
-      if (!compiled.ok()) {
-        // Graceful degradation: a compile failure (injectable via the
-        // jit.compile fault site) costs the speedup, not the query — run
-        // the same plan through the interpreter instead of surfacing an
-        // engine-internal error to the client.
-        stats->jit_fallback = true;
-        POSEIDON_RETURN_IF_ERROR(exec.Run());
-        ++stats->interpreted_morsels;
-        break;
-      }
+  // The paper's "static task function": null runs the interpreter. kJit
+  // sets it before the first morsel; kAdaptive's compile worker may set it
+  // at any point, so it is shared with that worker.
+  auto task_fn = std::make_shared<std::atomic<CompiledQueryFn>>(nullptr);
+  if (mode == ExecutionMode::kJit) {
+    auto compiled = engine_->Compile(plan, jit_options);
+    if (compiled.ok() && compiled->num_handle_slots <= kMaxHandleSlots) {
+      task_fn->store(compiled->fn, std::memory_order_relaxed);
       stats->compile_ms = compiled->codegen_ms + compiled->optimize_ms +
                           compiled->compile_ms;
       stats->cache_hit = compiled->from_persistent_cache;
       stats->memo_hit = compiled->from_memo;
-      stats->used_jit = true;
-      auto state = MakeState(plan, ctx, &collector, &exec, 1);
-      POSEIDON_RETURN_IF_ERROR(
-          RunCompiledSerial(*compiled, state.get(), &exec, stats));
-      POSEIDON_RETURN_IF_ERROR(exec.Finish());
-      break;
+    } else {
+      // Graceful degradation: a compile failure (injectable via the
+      // jit.compile fault site) costs the speedup, not the query — the same
+      // plan runs through the interpreter instead of surfacing an
+      // engine-internal error to the client.
+      stats->jit_fallback = true;
     }
-
-    case ExecutionMode::kAdaptive: {
-      auto state =
-          MakeState(plan, ctx, &collector, &exec, pool_.num_threads());
-      // The "static task function" of the paper: null = interpret.
-      auto compiled_fn = std::make_shared<std::atomic<CompiledQueryFn>>(
-          nullptr);
-
-      // The plan-dependent phases (memo/cache probe + IR generation) run
-      // synchronously — sub-millisecond — so the caller's plan may be
-      // destroyed right after Execute returns; only the expensive
-      // optimization/compilation/linking happens in the background
-      // (deduplicated: repeated adaptive runs of an in-flight query must
-      // not stack up compile threads).
-      auto pending = engine_->BeginCompile(plan, jit_options);
-      if (pending.ok() && pending->done) {
-        // Memo/cache hit (§6.2: "If the code is found, it will be linked
-        // with the current database instance").
-        if (pending->result.num_handle_slots <= kMaxHandleSlots) {
-          compiled_fn->store(pending->result.fn, std::memory_order_release);
-          stats->memo_hit = pending->result.from_memo;
-          stats->cache_hit = pending->result.from_persistent_cache;
-        }
-      } else if (pending.ok()) {
-        uint64_t qid = pending->result.query_id;
-        bool launch;
-        {
-          std::lock_guard<std::mutex> lock(bg_mu_);
-          launch = bg_query_ids_.insert(qid).second;
-          if (launch) ++bg_inflight_;
-        }
-        if (launch) {
-          auto shared_pending = std::make_shared<JitEngine::PendingCompile>(
-              std::move(*pending));
-          std::thread([this, shared_pending, compiled_fn, qid] {
-            auto compiled =
-                engine_->FinishCompile(std::move(*shared_pending));
-            if (compiled.ok() &&
-                compiled->num_handle_slots <= kMaxHandleSlots) {
-              compiled_fn->store(compiled->fn, std::memory_order_release);
-            }
-            {
-              std::lock_guard<std::mutex> lock(bg_mu_);
-              bg_query_ids_.erase(qid);
-              --bg_inflight_;
-            }
-            bg_done_.notify_all();
-          }).detach();
-        }
-      } else {
-        // Compile setup failed: all morsels run interpreted.
-        stats->jit_fallback = true;
-      }
-
-      uint64_t slots = exec.SourceCardinality();
-      if (slots == 0) {
-        // Non-scan source: a single task; the switch cannot help here
-        // (paper: short updates execute entirely in AOT mode).
-        POSEIDON_RETURN_IF_ERROR(exec.Run());
-        ++stats->interpreted_morsels;
-        break;
-      }
-
-      // Morsel task pool with worker-slot ids for the JIT handle storage.
-      std::mutex status_mu;
-      Status first_error;
-      std::atomic<uint64_t> jit_morsels{0}, interp_morsels{0};
-      std::atomic<bool> stop{false};
-      for (uint64_t begin = 0; begin < slots;
-           begin += QueryEngine::kMorselSize) {
-        Status admit = tx->cancel_token()->Check();
-        if (!admit.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          if (first_error.ok()) first_error = admit;
-          break;
-        }
-        uint64_t end = std::min(begin + QueryEngine::kMorselSize, slots);
-        pool_.Submit([&, begin, end] {
-          if (stop.load(std::memory_order_acquire)) return;
-          // Worker slot 0 is reserved for serial execution; pool workers
-          // use their stable index + 1 for the JIT handle storage.
-          uint32_t worker =
-              static_cast<uint32_t>(ThreadPool::current_worker_index() + 1);
-          CompiledQueryFn fn = compiled_fn->load(std::memory_order_acquire);
-          Status s;
-          if (fn != nullptr &&
-              worker < static_cast<uint32_t>(state->threads.size())) {
-            int32_t code = fn(state.get(), begin, end, worker);
-            if (code == 1) stop.store(true, std::memory_order_release);
-            s = StatusFromCode(code, state.get());
-            jit_morsels.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            s = exec.RunMorsel(begin, end);
-            interp_morsels.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!s.ok()) {
-            std::lock_guard<std::mutex> lock(status_mu);
-            if (first_error.ok()) first_error = s;
-          }
-        });
-      }
-      pool_.WaitIdle();
-      POSEIDON_RETURN_IF_ERROR(first_error);
-      POSEIDON_RETURN_IF_ERROR(exec.Finish());
-      stats->jit_morsels = jit_morsels.load();
-      stats->interpreted_morsels = interp_morsels.load();
-      stats->used_jit = stats->jit_morsels > 0;
-      break;
-    }
+  } else if (mode == ExecutionMode::kAdaptive) {
+    CompileInBackground(plan, jit_options, task_fn, stats);
   }
-  return Status::Ok();
-  }();
+  const bool parallel = mode == ExecutionMode::kInterpretParallel ||
+                        mode == ExecutionMode::kAdaptive;
+  std::unique_ptr<JitRuntimeState> state;
+  if (mode == ExecutionMode::kAdaptive ||
+      task_fn->load(std::memory_order_relaxed) != nullptr) {
+    state = MakeState(plan, ctx, &collector, &exec,
+                      parallel ? pool_.num_threads() : 0);
+  }
 
+  Status run_status =
+      RunMorsels(&exec, *task_fn, state.get(), parallel, tx, stats);
   if (!run_status.ok()) {
     stats->deadline_exceeded = run_status.IsDeadlineExceeded();
     stats->cancelled = run_status.IsCancelled();

@@ -2,12 +2,12 @@
 // fault-injection subsystem).
 //
 // Every persistence primitive the pool executes — each Flush (including
-// FlushBatch-coalesced and PersistDeferred flushes) and each Drain — is a
-// *numbered injection point*: the injector assigns them 1, 2, 3, ... in
-// execution order. Arming point k freezes the crash shadow the moment the
-// k-th primitive begins, BEFORE it copies anything durable — i.e. the
-// durable image is exactly "everything persisted strictly before point k",
-// which is the state a power loss at that instant would leave on media.
+// FlushBatch-coalesced flushes) and each Drain — is a *numbered injection
+// point*: the injector assigns them 1, 2, 3, ... in execution order. Arming
+// point k freezes the crash shadow the moment the k-th primitive begins,
+// BEFORE it copies anything durable — i.e. the durable image is exactly
+// "everything persisted strictly before point k", which is the state a
+// power loss at that instant would leave on media.
 //
 // The workload keeps running after the freeze (later stores and flushes are
 // volatile-only); the test then calls Pool::SimulateCrash() to revert to

@@ -208,33 +208,31 @@ uint64_t PipelineExecutor::SourceCardinality() const {
   return 0;
 }
 
+bool PipelineExecutor::HasRangeSource() const {
+  const Op* src = ops_.empty() ? nullptr : ops_.front();
+  return src != nullptr &&
+         (src->kind == OpKind::kNodeScan || IsIndexSource(src));
+}
+
 Status PipelineExecutor::Run() {
   if (!prepared_) POSEIDON_RETURN_IF_ERROR(Prepare());
-  const Op* src = ops_.empty() ? nullptr : ops_.front();
-  if (src != nullptr && (src->kind == OpKind::kNodeScan ||
-                         IsIndexSource(src))) {
-    // Scannable source; an empty table / empty match set is a valid
-    // zero-unit scan.
-    Status s = RunSourceRange(0, SourceCardinality());
-    if (!s.ok() && !IsStop(s)) return s;
-  } else {
-    Status s = RunNonScanSource();
-    if (!s.ok() && !IsStop(s)) return s;
-  }
+  // An empty table / empty match set is a valid zero-unit scan.
+  bool stop = false;
+  POSEIDON_RETURN_IF_ERROR(RunMorsel(0, SourceCardinality(), &stop));
   return Finish();
 }
 
-Status PipelineExecutor::RunMorsel(uint64_t begin, uint64_t end) {
+Status PipelineExecutor::RunMorsel(uint64_t begin, uint64_t end, bool* stop) {
   // Buffer terminal tuples locally; one collector lock per morsel.
   std::vector<Tuple> local;
   Status s;
   {
     ScopedSink sink(&local);
-    s = RunSourceRange(begin, end);
+    s = HasRangeSource() ? RunSourceRange(begin, end) : RunNonScanSource();
   }
   collector_->AddBatch(std::move(local));
-  if (IsStop(s)) return Status::Ok();
-  return s;
+  *stop = IsStop(s);
+  return *stop ? Status::Ok() : s;
 }
 
 Status PipelineExecutor::PushIndexMatch(const Op* src, RecordId id,
@@ -275,32 +273,10 @@ Status PipelineExecutor::RunSourceRange(uint64_t begin, uint64_t end) {
       auto& table = ctx_.store->nodes();
       uint64_t slots = table.NumSlots();
       if (end > slots) end = slots;
-      if (!opts.batch_enabled) {
-        // Seed behaviour: slot-at-a-time occupancy probing, no prefetch.
-        for (uint64_t id = begin; id < end; ++id) {
-          if ((id & 63u) == 0) {
-            POSEIDON_RETURN_IF_ERROR(ctx_.tx->cancel_token()->Check());
-          }
-          if (!table.IsOccupied(id)) continue;
-          auto n = ctx_.tx->GetNode(id);
-          if (!n.ok()) {
-            if (n.status().IsNotFound()) continue;  // invisible to snapshot
-            return n.status();
-          }
-          if (src->label != kInvalidCode && n->rec.label != src->label) {
-            continue;
-          }
-          t.clear();
-          t.push_back(Value::Node(id));
-          Status s = Push(1, t);
-          if (!s.ok()) return s;
-        }
-        return Status::Ok();
-      }
-      // Batched fast path: gather occupied ids from the occupancy words
-      // (whole empty words skipped), then consume software-pipelined —
-      // the record `prefetch_distance` ahead is filling while the current
-      // one goes through the pipeline.
+      // Gather occupied ids from the occupancy words (whole empty words
+      // skipped), then consume them software-pipelined: the record
+      // `prefetch_distance` ahead is filling while the current one goes
+      // through the pipeline.
       uint64_t cap = opts.batch_size == 0 ? 1 : opts.batch_size;
       std::vector<RecordId> ids(cap);
       uint64_t d = opts.prefetch_distance;
@@ -337,7 +313,7 @@ Status PipelineExecutor::RunSourceRange(uint64_t begin, uint64_t end) {
       }
       uint64_t n = source_matches_.size();
       if (end > n) end = n;
-      uint64_t d = opts.batch_enabled ? opts.prefetch_distance : 0;
+      uint64_t d = opts.prefetch_distance;
       auto& table = ctx_.store->nodes();
       for (uint64_t i = begin; i < end; ++i) {
         if ((i & 63u) == 0) {
@@ -550,7 +526,8 @@ Status PipelineExecutor::Push(size_t i, Tuple& t) {
     }
 
     case OpKind::kHashJoin: {
-      const Value& key = t[op->left_key_col];
+      // A copy: appending build columns below may reallocate `t`.
+      const Value key = t[op->left_key_col];
       auto it = state.build_index.find(JoinKeyHash(key));
       if (it == state.build_index.end()) return Status::Ok();
       size_t base = t.size();

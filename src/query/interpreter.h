@@ -86,16 +86,25 @@ class PipelineExecutor {
   /// One-time setup: flattens the chain, executes hash-join build sides.
   Status Prepare();
 
-  /// Runs the whole query single-threaded (source + Finish).
+  /// Runs the whole query single-threaded (source + Finish). Nested
+  /// executors (hash-join build sides) use it; queries go through the
+  /// morsel driver in jit::JitQueryEngine.
   Status Run();
 
-  /// Runs the scan source over record ids [begin, end) — one morsel.
-  /// Only valid when SourceCardinality() > 0.
-  Status RunMorsel(uint64_t begin, uint64_t end);
+  /// Runs one morsel: source units [begin, end) of a range source, or the
+  /// whole source when it is not a range source (Create runs as one unit).
+  /// Terminal tuples are buffered and reach the collector once per morsel.
+  /// Sets `*stop` when a Limit was satisfied, so no later morsel needs to
+  /// run.
+  Status RunMorsel(uint64_t begin, uint64_t end, bool* stop);
 
   /// Flushes pipeline breakers (order-by buffers, count). Call exactly once
   /// after all morsels completed.
   Status Finish();
+
+  /// True when the source splits into morsels: NodeScan (table slots) and
+  /// IndexScan/IndexRangeScan (materialized matches). Valid after Prepare.
+  bool HasRangeSource() const;
 
   /// Number of source units for morsel splitting: table slots for NodeScan,
   /// materialized index matches for IndexScan/IndexRangeScan (after

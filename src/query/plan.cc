@@ -160,8 +160,7 @@ const char* AggName(AggFn fn) {
 std::string AnnotationSuffix(const ExplainAnnotation* ann) {
   if (ann == nullptr) return "";
   std::string out = " [parallel=" + std::to_string(ann->threads) +
-                    ", morsel=" + std::to_string(ann->morsel) +
-                    ", batch=" + (ann->batch ? "on" : "off");
+                    ", morsel=" + std::to_string(ann->morsel);
   out += std::string(", rts=") + (ann->rts_coalesce ? "coalesced" : "eager") +
          " skip=" + std::to_string(ann->rts_skipped) +
          " defer=" + std::to_string(ann->rts_deferred);

@@ -190,10 +190,10 @@ class ChunkedTable {
     // may race a slot being recycled; record structs are 8-byte multiples
     // (PsanStoreCopy falls back to memcpy for odd sizes/alignments).
     PsanStoreCopy(pool_, slot, &record, sizeof(R));
-    // Pipelined pools defer the drain to the inserting transaction's commit:
-    // the payload flush is ordered before the occupancy flush below, and
+    // The drain is deferred to the inserting transaction's commit: the
+    // payload flush is ordered before the occupancy flush below, and
     // both land before the commit marker that makes the record reachable.
-    pool_->PersistDeferred(slot, sizeof(R));
+    pool_->Flush(slot, sizeof(R));
     SetBit(id, true);
     num_records_.fetch_add(1, std::memory_order_relaxed);
     return id;
@@ -551,7 +551,7 @@ class ChunkedTable {
                                                 std::memory_order_release);
     }
     PsanMarkRange(pool_, &word, sizeof(word));
-    pool_->PersistDeferred(&word, sizeof(word));
+    pool_->Flush(&word, sizeof(word));
   }
 
   /// Clears the occupancy bit; returns false when it was already clear.
@@ -562,7 +562,7 @@ class ChunkedTable {
         ~mask, std::memory_order_acq_rel);
     if ((old & mask) == 0) return false;
     PsanMarkRange(pool_, &word, sizeof(word));
-    pool_->PersistDeferred(&word, sizeof(word));
+    pool_->Flush(&word, sizeof(word));
     return true;
   }
 

@@ -132,12 +132,12 @@ void GraphStore::PersistTimestamp(Timestamp ts) {
   Timestamp cur = hwm.load(std::memory_order_relaxed);
   while (cur < ts) {
     if (hwm.compare_exchange_weak(cur, ts, std::memory_order_acq_rel)) {
-      // Pipelined: flush only — the committing transaction's redo drain
+      // Flush only — the committing transaction's redo drain
       // orders it before the commit marker, so no durable bts can ever
       // exceed a durable next_timestamp. The CAS itself cannot route
       // through PsanStore, so mark the store after the fact.
       PsanMarkRange(pool_, &root->next_timestamp, sizeof(Timestamp));
-      pool_->PersistDeferred(&root->next_timestamp, sizeof(Timestamp));
+      pool_->Flush(&root->next_timestamp, sizeof(Timestamp));
       return;
     }
   }

@@ -936,9 +936,7 @@ TransactionManager::TransactionManager(storage::GraphStore* store,
       util::Backoff::FromEnv(EnvInt("POSEIDON_ADMISSION_ATTEMPTS", 64));
   default_deadline_ms_.store(EnvInt("POSEIDON_QUERY_DEADLINE_MS", 0),
                              std::memory_order_relaxed);
-  bool pipelined = store->pool()->pipelined();
-  group_commit_enabled_ =
-      pipelined && EnvInt("POSEIDON_GROUP_COMMIT", 1) != 0;
+  group_commit_enabled_ = EnvInt("POSEIDON_GROUP_COMMIT", 1) != 0;
   // Default 0: opportunistic batching. The leader drains immediately for
   // the members that have already arrived; committers that show up during
   // the drain form the next batch. A positive window makes the leader sleep
@@ -947,7 +945,7 @@ TransactionManager::TransactionManager(storage::GraphStore* store,
   // latency override emulating remote PMem fsync-class drains).
   int window = EnvInt("POSEIDON_GROUP_COMMIT_WINDOW_US", 0);
   group_window_us_ = window > 0 ? static_cast<uint64_t>(window) : 0;
-  bg_gc_ = pipelined && EnvInt("POSEIDON_BG_GC", 1) != 0;
+  bg_gc_ = EnvInt("POSEIDON_BG_GC", 1) != 0;
   if (bg_gc_) {
     gc_thread_ = std::thread([this] {
       std::unique_lock<std::mutex> lock(gc_wake_mu_);

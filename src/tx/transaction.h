@@ -651,7 +651,7 @@ class TransactionManager {
   util::Backoff::Options read_backoff_;        // seqlock stabilization (1024)
   util::Backoff::Options visibility_backoff_;  // post-rts-bump re-check (64)
 
-  // --- Group commit (pipelined pools only) ------------------------------
+  // --- Group commit -----------------------------------------------------
   bool group_commit_enabled_ = false;
   uint64_t group_window_us_ = 50;
   std::mutex group_mu_;
@@ -664,7 +664,7 @@ class TransactionManager {
   std::atomic<uint32_t> committers_in_flight_{0};
   std::atomic<uint64_t> group_drains_{0};
 
-  // --- Background version GC (pipelined pools only) ---------------------
+  // --- Background version GC --------------------------------------------
   bool bg_gc_ = false;
   std::atomic<bool> gc_stop_{false};
   std::mutex gc_wake_mu_;

@@ -14,7 +14,7 @@
 #include <thread>
 #include <tuple>
 
-#include "query/engine.h"
+#include "jit/jit_query_engine.h"
 #include "tx/transaction.h"
 #include "util/random.h"
 
@@ -377,7 +377,9 @@ TEST_F(AdjacencyCacheTest, ExpandLabelFilterAcrossConcurrentDeletion) {
   // filter returns p1 only. A reader whose snapshot predates the deletion of
   // p1 keeps seeing it (served or chain-walked); post-deletion snapshots see
   // an empty result, exercising the interpreter's deleted-neighbor skip.
-  query::QueryEngine engine(store_.get(), indexes_.get(), 2);
+  auto engine = jit::JitQueryEngine::Create(store_.get(), indexes_.get(), 2,
+                                            /*cache=*/nullptr);
+  ASSERT_TRUE(engine.ok());
   RecordId p0 = MakeNode(person_);
   RecordId p1 = MakeNode(person_);
   RecordId c = MakeNode(city_);
@@ -394,7 +396,7 @@ TEST_F(AdjacencyCacheTest, ExpandLabelFilterAcrossConcurrentDeletion) {
                          .Build();
 
   auto count_in = [&](Transaction* tx) {
-    auto r = engine.Execute(plan, tx, {}, false);
+    auto r = (*engine)->Execute(plan, tx, {}, jit::ExecutionMode::kInterpret);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r->rows[0][0].AsInt();
   };

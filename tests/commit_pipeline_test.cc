@@ -99,7 +99,6 @@ TEST(CommitPipelineTest, PipelinedCommitDrainsThriceAndCoalesces) {
   auto pool_r = Pool::CreateVolatile(32ull << 20);
   ASSERT_TRUE(pool_r.ok());
   Pool* pool = pool_r->get();
-  ASSERT_TRUE(pool->pipelined());
   auto a = pool->AllocateZeroed(64);
   ASSERT_TRUE(a.ok());
 
@@ -115,29 +114,6 @@ TEST(CommitPipelineTest, PipelinedCommitDrainsThriceAndCoalesces) {
       << "pipelined commit: entry drain, marker drain, apply drain — the "
          "marker clear is flushed but not drained";
   EXPECT_GT(pool->stats().deduped_lines, 0u);
-}
-
-TEST(CommitPipelineTest, SerializedBaselineKeepsFourDrains) {
-  PoolOptions o;
-  o.mode = PoolMode::kDram;
-  o.capacity = 32ull << 20;
-  o.commit_pipeline = 0;  // ablation baseline
-  auto pool_r = Pool::Create("", o);
-  ASSERT_TRUE(pool_r.ok());
-  Pool* pool = pool_r->get();
-  ASSERT_FALSE(pool->pipelined());
-  EXPECT_EQ(pool->redo_log()->num_segments(), 1u);
-  auto a = pool->AllocateZeroed(64);
-  ASSERT_TRUE(a.ok());
-
-  pool->ResetStats();
-  RedoTx tx(pool->redo_log());
-  uint64_t v = 7;
-  tx.StageValue(*a, v);
-  ASSERT_TRUE(tx.Commit(1).ok());
-  EXPECT_EQ(*pool->ToPtr<uint64_t>(*a), 7u);
-  EXPECT_EQ(pool->stats().drains, 4u) << "seed baseline: 4 drains/commit";
-  EXPECT_EQ(pool->stats().deduped_lines, 0u) << "baseline never coalesces";
 }
 
 // --- Segmented recovery ---------------------------------------------------
@@ -210,6 +186,52 @@ TEST(CommitPipelineTest, CrashBetweenMarkerAndApplyIsReplayed) {
   EXPECT_EQ(*pool->ToPtr<uint64_t>(*a), 0u) << "apply was not durable";
   EXPECT_TRUE(pool->redo_log()->Recover());
   EXPECT_EQ(*pool->ToPtr<uint64_t>(*a), 42u);
+}
+
+TEST(CommitPipelineTest, OneSegmentPoolOpensRecoversAndCommits) {
+  // A pool created with a single redo segment (the layout the retired
+  // serialized commit path forced) keeps its geometry on reopen, replays a
+  // committed-but-unapplied segment, and commits through the same
+  // three-drain protocol as a multi-segment pool.
+  PoolOptions o;
+  o.capacity = 32ull << 20;
+  o.has_latency_override = true;
+  o.latency_override = LatencyModel::Dram();
+  o.redo_segments = 1;
+  std::string path = testing::TempDir() + "/one_segment_test.pmem";
+  std::filesystem::remove(path);
+  Offset a;
+  {
+    auto pool_r = Pool::Create(path, o);
+    ASSERT_TRUE(pool_r.ok()) << pool_r.status().ToString();
+    Pool* pool = pool_r->get();
+    ASSERT_EQ(pool->redo_log()->num_segments(), 1u);
+    auto off = pool->AllocateZeroed(64);
+    ASSERT_TRUE(off.ok());
+    a = *off;
+    pool->Drain();
+    // Crash after the marker, before the apply: the segment stays marked.
+    CraftCommittedSegment(pool, 0, /*commit_ts=*/2, a, /*value=*/9);
+  }
+
+  auto pool_r = Pool::Open(path, o);
+  ASSERT_TRUE(pool_r.ok()) << pool_r.status().ToString();
+  Pool* pool = pool_r->get();
+  EXPECT_EQ(pool->redo_log()->num_segments(), 1u);
+  EXPECT_EQ(pool->recovery_report().segments_replayed, 1u);
+  EXPECT_EQ(*pool->ToPtr<uint64_t>(a), 9u);
+
+  pool->ResetStats();
+  {
+    RedoTx tx(pool->redo_log());
+    uint64_t v = 11;
+    tx.StageValue(a, v);
+    ASSERT_TRUE(tx.Commit(3).ok());
+  }
+  EXPECT_EQ(*pool->ToPtr<uint64_t>(a), 11u);
+  EXPECT_EQ(pool->stats().drains, 3u);
+  pool_r->reset();
+  std::filesystem::remove(path);
 }
 
 TEST(CommitPipelineTest, ConcurrentCommittersUseDistinctSegments) {

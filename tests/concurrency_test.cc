@@ -7,7 +7,7 @@
 #include <atomic>
 #include <thread>
 
-#include "query/engine.h"
+#include "jit/jit_query_engine.h"
 #include "tx/transaction.h"
 #include "util/random.h"
 
@@ -275,7 +275,9 @@ TEST_F(ConcurrencyTest, MorselParallelScanNeverSeesUncommittedVersions) {
     ASSERT_TRUE(tx->Commit().ok());
   }
 
-  query::QueryEngine engine(store_.get(), nullptr, 4);
+  auto engine = jit::JitQueryEngine::Create(store_.get(), nullptr, 4,
+                                            /*cache=*/nullptr);
+  ASSERT_TRUE(engine.ok());
   using query::CmpOp;
   using query::Expr;
   using query::PlanBuilder;
@@ -317,10 +319,10 @@ TEST_F(ConcurrencyTest, MorselParallelScanNeverSeesUncommittedVersions) {
   int64_t last_committed = kSeed;
   for (int reads = 0; reads < kReads;) {
     auto tx = mgr_->Begin();
-    auto poison = engine.Execute(poison_count, tx.get(), {},
-                                 /*parallel=*/true);
-    auto committed = engine.Execute(committed_count, tx.get(), {},
-                                    /*parallel=*/true);
+    auto poison = (*engine)->Execute(poison_count, tx.get(), {},
+                                     jit::ExecutionMode::kInterpretParallel);
+    auto committed = (*engine)->Execute(
+        committed_count, tx.get(), {}, jit::ExecutionMode::kInterpretParallel);
     if (!poison.ok() || !committed.ok()) continue;  // writer lock: retry
     ++reads;
     if (poison->rows[0][0].AsInt() != 0) ++poison_seen;

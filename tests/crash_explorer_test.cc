@@ -1,12 +1,12 @@
 // Exhaustive crash-point exploration (fault-injection tentpole, leg 1).
 //
 // The pool's FaultInjector numbers every persistence primitive (Flush/Drain,
-// including PersistDeferred and coalesced FlushBatch flushes) 1, 2, 3, ... in
-// execution order. This test runs one fixed LDBC-style update workload —
-// person creates with properties, "knows" relationships, property updates,
-// relationship + node deletes — once per crash point k: the durable image is
-// frozen the instant primitive k begins, the workload finishes volatile-only,
-// the pool "loses power", and recovery must yield EXACTLY the state after
+// including coalesced FlushBatch flushes) 1, 2, 3, ... in execution order.
+// This test runs one fixed LDBC-style update workload — person creates with
+// properties, "knows" relationships, property updates, relationship + node
+// deletes — once per crash point k: the durable image is frozen the instant
+// primitive k begins, the workload finishes volatile-only, the pool "loses
+// power", and recovery must yield EXACTLY the state after
 // some committed prefix of the workload (boundary transactions are
 // all-or-nothing), with the secondary index rebuildable and consistent with
 // the surviving table contents.

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "jit/jit_query_engine.h"
-#include "query/engine.h"
 
 namespace poseidon::query {
 namespace {
@@ -21,7 +20,10 @@ class CypherTest : public ::testing::Test {
     ASSERT_TRUE(store.ok());
     store_ = std::move(*store);
     mgr_ = std::make_unique<tx::TransactionManager>(store_.get(), nullptr);
-    engine_ = std::make_unique<QueryEngine>(store_.get(), nullptr, 2);
+    auto engine = jit::JitQueryEngine::Create(store_.get(), nullptr, 2,
+                                              /*cache=*/nullptr);
+    ASSERT_TRUE(engine.ok());
+    engine_ = std::move(*engine);
 
     auto person = *store_->Code("Person");
     auto city = *store_->Code("City");
@@ -58,7 +60,8 @@ class CypherTest : public ::testing::Test {
     auto plan = ParseCypher(text, &store_->dict());
     if (!plan.ok()) return plan.status();
     auto tx = mgr_->Begin();
-    auto r = engine_->Execute(*plan, tx.get(), params);
+    auto r = engine_->Execute(*plan, tx.get(), params,
+                              jit::ExecutionMode::kInterpret);
     if (r.ok()) EXPECT_TRUE(tx->Commit().ok());
     return r;
   }
@@ -70,7 +73,7 @@ class CypherTest : public ::testing::Test {
   std::unique_ptr<pmem::Pool> pool_;
   std::unique_ptr<storage::GraphStore> store_;
   std::unique_ptr<tx::TransactionManager> mgr_;
-  std::unique_ptr<QueryEngine> engine_;
+  std::unique_ptr<jit::JitQueryEngine> engine_;
 };
 
 TEST_F(CypherTest, CountAllOfLabel) {
@@ -169,14 +172,11 @@ TEST_F(CypherTest, ParsedPlanRunsUnderJit) {
       "RETURN f.name, k.since",
       &store_->dict());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto jit_engine = poseidon::jit::JitQueryEngine::Create(store_.get(),
-                                                          nullptr, 2, nullptr);
-  ASSERT_TRUE(jit_engine.ok());
   auto tx = mgr_->Begin();
-  auto aot = (*jit_engine)->Execute(*plan, tx.get(), {},
-                                    poseidon::jit::ExecutionMode::kInterpret);
-  auto compiled = (*jit_engine)->Execute(
-      *plan, tx.get(), {}, poseidon::jit::ExecutionMode::kJit);
+  auto aot = engine_->Execute(*plan, tx.get(), {},
+                              jit::ExecutionMode::kInterpret);
+  auto compiled =
+      engine_->Execute(*plan, tx.get(), {}, jit::ExecutionMode::kJit);
   ASSERT_TRUE(aot.ok() && compiled.ok())
       << aot.status().ToString() << " / " << compiled.status().ToString();
   ASSERT_TRUE(tx->Commit().ok());

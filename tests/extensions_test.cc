@@ -4,17 +4,17 @@
 
 #include <gtest/gtest.h>
 
-#include "query/engine.h"
+#include "jit/jit_query_engine.h"
 
 namespace poseidon {
 namespace {
 
+using jit::ExecutionMode;
 using query::AggFn;
 using query::CmpOp;
 using query::Expr;
 using query::Plan;
 using query::PlanBuilder;
-using query::QueryEngine;
 using query::Value;
 using storage::PVal;
 
@@ -28,7 +28,10 @@ class ExtensionsTest : public ::testing::Test {
     ASSERT_TRUE(store.ok());
     store_ = std::move(*store);
     mgr_ = std::make_unique<tx::TransactionManager>(store_.get(), nullptr);
-    engine_ = std::make_unique<QueryEngine>(store_.get(), nullptr, 2);
+    auto engine = jit::JitQueryEngine::Create(store_.get(), nullptr, 2,
+                                              /*cache=*/nullptr);
+    ASSERT_TRUE(engine.ok());
+    engine_ = std::move(*engine);
     person_ = *store_->Code("Person");
     city_ = *store_->Code("city");
     age_ = *store_->Code("age");
@@ -46,7 +49,7 @@ class ExtensionsTest : public ::testing::Test {
 
   Result<query::QueryResult> Run(const Plan& p) {
     auto tx = mgr_->Begin();
-    auto r = engine_->Execute(p, tx.get(), {});
+    auto r = engine_->Execute(p, tx.get(), {}, ExecutionMode::kInterpret);
     if (r.ok()) EXPECT_TRUE(tx->Commit().ok());
     return r;
   }
@@ -54,7 +57,7 @@ class ExtensionsTest : public ::testing::Test {
   std::unique_ptr<pmem::Pool> pool_;
   std::unique_ptr<storage::GraphStore> store_;
   std::unique_ptr<tx::TransactionManager> mgr_;
-  std::unique_ptr<QueryEngine> engine_;
+  std::unique_ptr<jit::JitQueryEngine> engine_;
   storage::DictCode person_, city_, age_;
 };
 
@@ -131,8 +134,9 @@ TEST_F(ExtensionsTest, GroupByParallelMatchesSerial) {
                         Expr::Property(0, age_))
                .Build();
   auto tx = mgr_->Begin();
-  auto serial = engine_->Execute(p, tx.get(), {}, /*parallel=*/false);
-  auto parallel = engine_->Execute(p, tx.get(), {}, /*parallel=*/true);
+  auto serial = engine_->Execute(p, tx.get(), {}, ExecutionMode::kInterpret);
+  auto parallel =
+      engine_->Execute(p, tx.get(), {}, ExecutionMode::kInterpretParallel);
   ASSERT_TRUE(serial.ok() && parallel.ok());
   ASSERT_TRUE(tx->Commit().ok());
   auto total = [](const query::QueryResult& r) {

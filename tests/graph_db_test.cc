@@ -229,60 +229,6 @@ TEST_F(GraphDbTest, AdaptiveExecutionThroughFacade) {
   (*db)->engine()->WaitForBackgroundCompiles();
 }
 
-TEST_F(GraphDbTest, BatchedScanAblationIdenticalAcrossModes) {
-  // Every execution mode must return the same rows with the batched scan
-  // kernels on (default) and off (scalar fallback). Batch-off also compiles
-  // a distinct query variant (ScanOptions feed the JIT cache key).
-  auto db = GraphDb::Create(FastOptions(path_));
-  ASSERT_TRUE(db.ok());
-  auto person = *(*db)->Code("Person");
-  auto age = *(*db)->Code("age");
-  {
-    auto tx = (*db)->Begin();
-    for (int i = 0; i < 3000; ++i) {
-      ASSERT_TRUE(tx->CreateNode(person, {{age, PVal::Int(i % 97)}}).ok());
-    }
-    ASSERT_TRUE(tx->Commit().ok());
-    // Holes so occupancy words are partially filled.
-    auto del = (*db)->Begin();
-    for (storage::RecordId id = 0; id < 3000; id += 3) {
-      ASSERT_TRUE(del->DeleteNode(id).ok());
-    }
-    ASSERT_TRUE(del->Commit().ok());
-  }
-  Plan p = PlanBuilder()
-               .NodeScan(person)
-               .FilterProperty(0, age, CmpOp::kLt,
-                               Expr::Literal(Value::Int(40)))
-               .Count()
-               .Build();
-
-  storage::ScanOptions batch_on = (*db)->scan_options();
-  batch_on.batch_enabled = true;
-  storage::ScanOptions batch_off;
-  batch_off.batch_enabled = false;
-  batch_off.prefetch_distance = 0;
-
-  const jit::ExecutionMode modes[] = {
-      jit::ExecutionMode::kInterpret, jit::ExecutionMode::kInterpretParallel,
-      jit::ExecutionMode::kJit, jit::ExecutionMode::kAdaptive};
-  int64_t expected = -1;
-  for (const auto& opts : {batch_on, batch_off}) {
-    (*db)->set_scan_options(opts);
-    for (jit::ExecutionMode mode : modes) {
-      auto r = (*db)->Execute(p, mode);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      int64_t count = r->rows[0][0].AsInt();
-      if (expected < 0) expected = count;
-      EXPECT_EQ(count, expected)
-          << "mode=" << static_cast<int>(mode)
-          << " batch=" << (opts.batch_enabled ? "on" : "off");
-    }
-  }
-  (*db)->engine()->WaitForBackgroundCompiles();
-  (*db)->set_scan_options(batch_on);
-}
-
 TEST_F(GraphDbTest, AdjacencyCacheAblationIdenticalAcrossModes) {
   // Expand must return the same rows with the DRAM adjacency cache on
   // (default) and off (raw chain walk) in every execution mode. Cache

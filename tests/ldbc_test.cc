@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "query/engine.h"
+#include "jit/jit_query_engine.h"
 
 namespace poseidon::ldbc {
 namespace {
 
-using query::QueryEngine;
+using jit::ExecutionMode;
+using jit::JitQueryEngine;
 using query::QueryResult;
 using query::Value;
 
@@ -22,7 +23,9 @@ class LdbcTest : public ::testing::Test {
     store_ = store->release();
     indexes_ = new index::IndexManager(store_);
     mgr_ = new tx::TransactionManager(store_, indexes_);
-    engine_ = new QueryEngine(store_, indexes_, 2);
+    auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
+    ASSERT_TRUE(engine.ok());
+    engine_ = engine->release();
 
     SnbConfig cfg;
     cfg.persons = 300;
@@ -45,7 +48,8 @@ class LdbcTest : public ::testing::Test {
 
   Result<QueryResult> Run(const query::Plan& plan, std::vector<Value> params) {
     auto tx = mgr_->Begin();
-    auto r = engine_->Execute(plan, tx.get(), params);
+    auto r = engine_->Execute(plan, tx.get(), params,
+                              ExecutionMode::kInterpret);
     if (r.ok()) EXPECT_TRUE(tx->Commit().ok());
     return r;
   }
@@ -54,7 +58,7 @@ class LdbcTest : public ::testing::Test {
   static storage::GraphStore* store_;
   static index::IndexManager* indexes_;
   static tx::TransactionManager* mgr_;
-  static QueryEngine* engine_;
+  static JitQueryEngine* engine_;
   static SnbDataset* ds_;
 };
 
@@ -62,7 +66,7 @@ pmem::Pool* LdbcTest::pool_ = nullptr;
 storage::GraphStore* LdbcTest::store_ = nullptr;
 index::IndexManager* LdbcTest::indexes_ = nullptr;
 tx::TransactionManager* LdbcTest::mgr_ = nullptr;
-QueryEngine* LdbcTest::engine_ = nullptr;
+JitQueryEngine* LdbcTest::engine_ = nullptr;
 SnbDataset* LdbcTest::ds_ = nullptr;
 
 TEST_F(LdbcTest, DatasetHasExpectedShape) {
@@ -217,7 +221,8 @@ TEST_F(LdbcTest, AllUpdatesExecuteAndCommit) {
     for (const auto& q : *queries) {
       auto params = DrawUpdateParams(ds_, q.name, &rng);
       auto tx = mgr_->Begin();
-      auto r = engine_->Execute(q.plan, tx.get(), params);
+      auto r = engine_->Execute(q.plan, tx.get(), params,
+                                ExecutionMode::kInterpret);
       ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
       ASSERT_TRUE(tx->Commit().ok()) << q.name;
     }
@@ -250,7 +255,8 @@ TEST_F(LdbcTest, Iu8CreatesBidirectionalFriendship) {
     auto tx = mgr_->Begin();
     auto r = engine_->Execute(iu8->plan, tx.get(),
                               {Value::Int(p1), Value::Int(p2),
-                               Value::Int(123456)});
+                               Value::Int(123456)},
+                              ExecutionMode::kInterpret);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(tx->Commit().ok());
   }

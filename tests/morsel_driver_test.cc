@@ -1,0 +1,446 @@
+// Morsel-driver tests: the one loop behind every ExecutionMode.
+//
+// A cross-mode equivalence table runs each operator shape over each source
+// kind in all four modes and checks both the rows and the morsel accounting
+// (kJit runs every morsel compiled, kInterpret none, a satisfied Limit stops
+// a serial run after its first morsel). Regression tests pin the driver's
+// lifecycle and scheduling guarantees: an engine destroyed with an adaptive
+// compile in flight drains it first, and parallel queries wait for their own
+// morsels only, never for the whole worker pool.
+
+#include "jit/jit_query_engine.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+
+namespace poseidon::jit {
+namespace {
+
+using query::AggFn;
+using query::CmpOp;
+using query::Expr;
+using query::Plan;
+using query::PlanBuilder;
+using query::QueryResult;
+using query::Value;
+using storage::DictCode;
+using storage::PVal;
+using storage::RecordId;
+
+// 6000 persons span three NodeScan morsels; deleting every third one leaves
+// partially filled occupancy words and 4000 index matches (two morsels).
+constexpr int kPersons = 6000;
+constexpr int kLivePersons = kPersons - kPersons / 3;
+constexpr int kCities = 3;
+constexpr int kTagged = 100;  // persons with tag = 1: ids [0, 100)
+constexpr uint64_t kLimit = 5;
+constexpr int64_t kAgeBound = 40;
+
+enum class Source { kNodeScan, kIndexRangeScan, kCreate };
+enum class Shape {
+  kFilterProject,
+  kCount,
+  kGroupBy,
+  kOrderByLimit,
+  kLimit,
+  kHashJoin,
+};
+
+const Source kSources[] = {Source::kNodeScan, Source::kIndexRangeScan,
+                           Source::kCreate};
+const Shape kShapes[] = {Shape::kFilterProject, Shape::kCount,
+                         Shape::kGroupBy,       Shape::kOrderByLimit,
+                         Shape::kLimit,         Shape::kHashJoin};
+// kAdaptive before kJit: its first run starts interpreted with the compile
+// in flight instead of hitting the code kJit memoized.
+const ExecutionMode kModes[] = {
+    ExecutionMode::kInterpret, ExecutionMode::kInterpretParallel,
+    ExecutionMode::kAdaptive, ExecutionMode::kJit};
+
+const char* SourceName(Source s) {
+  switch (s) {
+    case Source::kNodeScan: return "NodeScan";
+    case Source::kIndexRangeScan: return "IndexRangeScan";
+    case Source::kCreate: return "Create";
+  }
+  return "?";
+}
+
+const char* ShapeName(Shape s) {
+  switch (s) {
+    case Shape::kFilterProject: return "Filter+Project";
+    case Shape::kCount: return "Filter+Count";
+    case Shape::kGroupBy: return "GroupBy";
+    case Shape::kOrderByLimit: return "OrderBy+Limit";
+    case Shape::kLimit: return "Filter+Limit";
+    case Shape::kHashJoin: return "HashJoin";
+  }
+  return "?";
+}
+
+const char* ModeName(ExecutionMode m) {
+  switch (m) {
+    case ExecutionMode::kInterpret: return "kInterpret";
+    case ExecutionMode::kInterpretParallel: return "kInterpretParallel";
+    case ExecutionMode::kJit: return "kJit";
+    case ExecutionMode::kAdaptive: return "kAdaptive";
+  }
+  return "?";
+}
+
+bool Serial(ExecutionMode m) {
+  return m == ExecutionMode::kInterpret || m == ExecutionMode::kJit;
+}
+
+/// Order-insensitive row fingerprint (parallel morsels finish in any order).
+std::vector<std::string> Fingerprint(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (const auto& t : r.rows) {
+    std::string k;
+    for (const auto& v : t) {
+      k += std::to_string(static_cast<int>(v.kind())) + ":" +
+           std::to_string(v.raw()) + "|";
+    }
+    out.push_back(std::move(k));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class MorselDriverTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    auto pool = pmem::Pool::CreateVolatile(256ull << 20);
+    ASSERT_TRUE(pool.ok());
+    pool_ = pool->release();
+    auto store = storage::GraphStore::Create(pool_);
+    ASSERT_TRUE(store.ok());
+    store_ = store->release();
+    indexes_ = new index::IndexManager(store_);
+    mgr_ = new tx::TransactionManager(store_, indexes_);
+    auto engine = JitQueryEngine::Create(store_, indexes_, 4, nullptr);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = engine->release();
+
+    person_ = *store_->Code("Person");
+    city_ = *store_->Code("City");
+    id_ = *store_->Code("id");
+    age_ = *store_->Code("age");
+    city_key_ = *store_->Code("city");
+    cid_ = *store_->Code("cid");
+    tag_ = *store_->Code("tag");
+
+    std::vector<RecordId> persons;
+    {
+      auto tx = mgr_->Begin();
+      // Two cities per cid: every hash-join probe matches two build rows.
+      for (int c = 0; c < 2 * kCities; ++c) {
+        ASSERT_TRUE(
+            tx->CreateNode(city_, {{cid_, PVal::Int(c % kCities)}}).ok());
+      }
+      for (int i = 0; i < kPersons; ++i) {
+        auto id = tx->CreateNode(
+            person_, {{id_, PVal::Int(i)},
+                      {age_, PVal::Int(i % 90)},
+                      {city_key_, PVal::Int(i % kCities)},
+                      {tag_, PVal::Int(i < kTagged ? 1 : 0)}});
+        ASSERT_TRUE(id.ok());
+        persons.push_back(*id);
+      }
+      ASSERT_TRUE(tx->Commit().ok());
+    }
+    {
+      auto tx = mgr_->Begin();
+      for (int i = 0; i < kPersons; i += 3) {
+        ASSERT_TRUE(tx->DeleteNode(persons[i]).ok());
+      }
+      ASSERT_TRUE(tx->Commit().ok());
+    }
+    ASSERT_TRUE(
+        indexes_->CreateIndex(person_, id_, index::Placement::kHybrid).ok());
+  }
+
+  static void TearDownTestSuite() {
+    delete engine_;
+    delete mgr_;
+    delete indexes_;
+    delete store_;
+    delete pool_;
+  }
+
+  static PlanBuilder SourceBuilder(Source s) {
+    switch (s) {
+      case Source::kNodeScan:
+        return PlanBuilder().NodeScan(person_);
+      case Source::kIndexRangeScan:
+        return PlanBuilder().IndexRangeScan(
+            person_, id_, Expr::Literal(Value::Int(0)),
+            Expr::Literal(Value::Int(kPersons)));
+      case Source::kCreate:
+        return PlanBuilder().CreateNode(
+            person_, {id_, age_, city_key_, tag_},
+            {Expr::Literal(Value::Int(90001)), Expr::Literal(Value::Int(7)),
+             Expr::Literal(Value::Int(1)), Expr::Literal(Value::Int(1))});
+    }
+    return PlanBuilder();
+  }
+
+  /// Every shape starts from a Person node in column 0 and ends in plain
+  /// values, so Create runs (fresh record ids) compare across modes.
+  static Plan MakePlan(Source src, Shape shape) {
+    PlanBuilder b = SourceBuilder(src);
+    Expr young = Expr::Literal(Value::Int(kAgeBound));
+    switch (shape) {
+      case Shape::kFilterProject:
+        return std::move(b)
+            .FilterProperty(0, age_, CmpOp::kLt, young)
+            .Project({Expr::Property(0, id_), Expr::Property(0, age_)})
+            .Build();
+      case Shape::kCount:
+        return std::move(b)
+            .FilterProperty(0, age_, CmpOp::kLt, young)
+            .Count()
+            .Build();
+      case Shape::kGroupBy:
+        return std::move(b)
+            .GroupBy(Expr::Property(0, city_key_), AggFn::kSum,
+                     Expr::Property(0, age_))
+            .Build();
+      case Shape::kOrderByLimit:
+        return std::move(b)
+            .Project({Expr::Property(0, id_)})
+            .OrderBy(0, /*desc=*/true, /*limit=*/10)
+            .Build();
+      case Shape::kLimit:
+        // Tagged persons all live in the first morsel of either scan
+        // source, so the rows are deterministic even in parallel modes.
+        return std::move(b)
+            .FilterProperty(0, tag_, CmpOp::kEq, Expr::Literal(Value::Int(1)))
+            .Limit(kLimit)
+            .Project({Expr::Property(0, id_)})
+            .Build();
+      case Shape::kHashJoin: {
+        Plan build = PlanBuilder()
+                         .NodeScan(city_)
+                         .Project({Expr::Property(0, cid_)})
+                         .Build();
+        return std::move(b)
+            .Project({Expr::Column(0), Expr::Property(0, city_key_)})
+            .HashJoin(std::move(build), /*left_key_col=*/1,
+                      /*right_key_col=*/0)
+            .Project({Expr::Property(0, id_), Expr::Column(2)})
+            .Build();
+      }
+    }
+    return Plan();
+  }
+
+  static uint64_t Morsels(uint64_t units) {
+    return (units + kMorselSize - 1) / kMorselSize;
+  }
+
+  static uint64_t ExpectedMorsels(Source s) {
+    switch (s) {
+      case Source::kNodeScan: return Morsels(store_->nodes().NumSlots());
+      case Source::kIndexRangeScan: return Morsels(kLivePersons);
+      case Source::kCreate: return 1;
+    }
+    return 0;
+  }
+
+  /// Runs `plan` in its own transaction; Create runs are rolled back so the
+  /// graph stays fixed across modes.
+  static Result<QueryResult> Run(const Plan& plan, Source src,
+                                 ExecutionMode mode, ExecStats* stats,
+                                 JitQueryEngine* engine = engine_) {
+    auto tx = mgr_->Begin();
+    auto r = engine->Execute(plan, tx.get(), {}, mode, stats);
+    if (src == Source::kCreate || !r.ok()) {
+      tx->Abort();
+    } else {
+      EXPECT_TRUE(tx->Commit().ok());
+    }
+    return r;
+  }
+
+  static pmem::Pool* pool_;
+  static storage::GraphStore* store_;
+  static index::IndexManager* indexes_;
+  static tx::TransactionManager* mgr_;
+  static JitQueryEngine* engine_;
+  static DictCode person_, city_, id_, age_, city_key_, cid_, tag_;
+};
+
+pmem::Pool* MorselDriverTest::pool_ = nullptr;
+storage::GraphStore* MorselDriverTest::store_ = nullptr;
+index::IndexManager* MorselDriverTest::indexes_ = nullptr;
+tx::TransactionManager* MorselDriverTest::mgr_ = nullptr;
+JitQueryEngine* MorselDriverTest::engine_ = nullptr;
+DictCode MorselDriverTest::person_, MorselDriverTest::city_,
+    MorselDriverTest::id_, MorselDriverTest::age_,
+    MorselDriverTest::city_key_, MorselDriverTest::cid_,
+    MorselDriverTest::tag_;
+
+TEST_F(MorselDriverTest, EveryShapeAndSourceMatchesAcrossModes) {
+  ASSERT_GE(ExpectedMorsels(Source::kNodeScan), 3u);
+  ASSERT_GE(ExpectedMorsels(Source::kIndexRangeScan), 2u);
+  int64_t young_live = 0;
+  for (int i = 0; i < kPersons; ++i) {
+    if (i % 3 != 0 && i % 90 < kAgeBound) ++young_live;
+  }
+
+  for (Source src : kSources) {
+    for (Shape shape : kShapes) {
+      Plan plan = MakePlan(src, shape);
+      const uint64_t morsels = ExpectedMorsels(src);
+      const bool limited = shape == Shape::kLimit;
+      std::vector<std::string> expected;
+      for (ExecutionMode mode : kModes) {
+        SCOPED_TRACE(std::string(SourceName(src)) + " / " + ShapeName(shape) +
+                     " / " + ModeName(mode));
+        ExecStats stats;
+        auto r = Run(plan, src, mode, &stats);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        if (mode == ExecutionMode::kInterpret) {
+          expected = Fingerprint(*r);
+          ASSERT_FALSE(expected.empty());
+          if (shape == Shape::kCount && src != Source::kCreate) {
+            EXPECT_EQ(r->rows[0][0].AsInt(), young_live);
+          }
+          if (limited && src != Source::kCreate) {
+            EXPECT_EQ(r->rows.size(), kLimit);
+          }
+        }
+        EXPECT_EQ(Fingerprint(*r), expected);
+
+        const uint64_t ran = stats.jit_morsels + stats.interpreted_morsels;
+        if (limited && Serial(mode)) {
+          EXPECT_EQ(ran, 1u) << "a satisfied Limit stops a serial run";
+        } else if (limited) {
+          EXPECT_GE(ran, 1u);
+          EXPECT_LE(ran, morsels);
+        } else {
+          EXPECT_EQ(ran, morsels);
+        }
+        switch (mode) {
+          case ExecutionMode::kInterpret:
+          case ExecutionMode::kInterpretParallel:
+            EXPECT_EQ(stats.jit_morsels, 0u);
+            EXPECT_FALSE(stats.used_jit);
+            break;
+          case ExecutionMode::kJit:
+            EXPECT_FALSE(stats.jit_fallback);
+            EXPECT_EQ(stats.interpreted_morsels, 0u);
+            EXPECT_TRUE(stats.used_jit);
+            break;
+          case ExecutionMode::kAdaptive:
+            EXPECT_EQ(stats.used_jit, stats.jit_morsels > 0);
+            break;
+        }
+      }
+    }
+  }
+
+  // Once the background compiles landed, adaptive runs hit the memo and
+  // run every morsel compiled — on the pool when there are several.
+  engine_->WaitForBackgroundCompiles();
+  for (Source src : kSources) {
+    for (Shape shape : kShapes) {
+      SCOPED_TRACE(std::string(SourceName(src)) + " / " + ShapeName(shape));
+      Plan plan = MakePlan(src, shape);
+      ExecStats stats;
+      auto r = Run(plan, src, ExecutionMode::kAdaptive, &stats);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(stats.memo_hit);
+      EXPECT_EQ(stats.interpreted_morsels, 0u);
+      EXPECT_GE(stats.jit_morsels, 1u);
+    }
+  }
+}
+
+TEST_F(MorselDriverTest, CancelledTokenRunsNoMorselInAnyMode) {
+  // The token is checked before each morsel, so a query cancelled before it
+  // starts runs nothing — not even a Create source.
+  const uint64_t nodes_before = store_->nodes().size();
+  for (Source src : {Source::kNodeScan, Source::kCreate}) {
+    Plan plan = MakePlan(src, Shape::kCount);
+    for (ExecutionMode mode : kModes) {
+      SCOPED_TRACE(std::string(SourceName(src)) + " / " + ModeName(mode));
+      auto tx = mgr_->Begin();
+      tx->cancel_token()->Cancel();
+      ExecStats stats;
+      auto r = engine_->Execute(plan, tx.get(), {}, mode, &stats);
+      ASSERT_FALSE(r.ok());
+      EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+      EXPECT_TRUE(stats.cancelled);
+      EXPECT_EQ(stats.jit_morsels + stats.interpreted_morsels, 0u);
+      tx->Abort();
+    }
+  }
+  engine_->WaitForBackgroundCompiles();
+  EXPECT_EQ(store_->nodes().size(), nodes_before);
+}
+
+TEST_F(MorselDriverTest, EngineTeardownDrainsInFlightAdaptiveCompile) {
+  // Regression: an engine destroyed while an adaptive compile was still in
+  // flight freed the JitEngine under the detached compile thread
+  // (heap-use-after-free under ASan). The engine-owned compile worker now
+  // drains and joins before the JitEngine goes away.
+  Plan plan = MakePlan(Source::kNodeScan, Shape::kCount);
+  for (int i = 0; i < 8; ++i) {
+    auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ExecStats stats;
+    auto r = Run(plan, Source::kNodeScan, ExecutionMode::kAdaptive, &stats,
+                 engine->get());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(stats.memo_hit) << "each engine starts with an empty memo";
+    // No WaitForBackgroundCompiles: the compile is queued or running here.
+  }
+}
+
+TEST_F(MorselDriverTest, ParallelQueryWaitsOnlyForItsOwnMorsels) {
+  // Regression: parallel and adaptive queries waited for the whole pool to
+  // go idle, so an unrelated long task on one worker stalled them.
+  auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ThreadPool* pool = (*engine)->pool();
+  Plan plan = MakePlan(Source::kNodeScan, Shape::kCount);
+  for (ExecutionMode mode :
+       {ExecutionMode::kInterpretParallel, ExecutionMode::kAdaptive}) {
+    SCOPED_TRACE(ModeName(mode));
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    pool->Submit([&] {
+      started.store(true, std::memory_order_release);
+      auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+      while (!release.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    while (!started.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    ExecStats stats;
+    auto r = Run(plan, Source::kNodeScan, mode, &stats, engine->get());
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    release.store(true, std::memory_order_release);
+    pool->WaitIdle();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(stats.jit_morsels + stats.interpreted_morsels,
+              ExpectedMorsels(Source::kNodeScan));
+    EXPECT_LT(elapsed, std::chrono::seconds(1))
+        << "the query must not wait for another task's worker";
+  }
+  (*engine)->WaitForBackgroundCompiles();
+}
+
+}  // namespace
+}  // namespace poseidon::jit

@@ -1,4 +1,4 @@
-#include "query/engine.h"
+#include "jit/jit_query_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,10 @@ class QueryTest : public ::testing::Test {
     indexes_ = std::make_unique<index::IndexManager>(store_.get());
     mgr_ = std::make_unique<tx::TransactionManager>(store_.get(),
                                                     indexes_.get());
-    engine_ = std::make_unique<QueryEngine>(store_.get(), indexes_.get(), 2);
+    auto engine = jit::JitQueryEngine::Create(store_.get(), indexes_.get(), 2,
+                                              /*cache=*/nullptr);
+    ASSERT_TRUE(engine.ok());
+    engine_ = std::move(*engine);
 
     person_ = *store_->Code("Person");
     city_ = *store_->Code("City");
@@ -57,7 +60,9 @@ class QueryTest : public ::testing::Test {
   Result<QueryResult> Run(const Plan& plan, std::vector<Value> params = {},
                           bool parallel = false) {
     auto tx = mgr_->Begin();
-    auto r = engine_->Execute(plan, tx.get(), params, parallel);
+    auto r = engine_->Execute(plan, tx.get(), params,
+                              parallel ? jit::ExecutionMode::kInterpretParallel
+                                       : jit::ExecutionMode::kInterpret);
     if (r.ok()) EXPECT_TRUE(tx->Commit().ok());
     return r;
   }
@@ -66,7 +71,7 @@ class QueryTest : public ::testing::Test {
   std::unique_ptr<storage::GraphStore> store_;
   std::unique_ptr<index::IndexManager> indexes_;
   std::unique_ptr<tx::TransactionManager> mgr_;
-  std::unique_ptr<QueryEngine> engine_;
+  std::unique_ptr<jit::JitQueryEngine> engine_;
   DictCode person_, city_, knows_, lives_in_, age_, id_key_, date_;
   RecordId persons_[5];
   RecordId city_id_;
@@ -319,7 +324,8 @@ TEST_F(QueryTest, CreateNodePipeline) {
                .Project({Expr::Property(0, age_)})
                .Build();
   auto tx = mgr_->Begin();
-  auto r = engine_->Execute(p, tx.get(), {Value::Int(99), Value::Int(55)});
+  auto r = engine_->Execute(p, tx.get(), {Value::Int(99), Value::Int(55)},
+                            jit::ExecutionMode::kInterpret);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 1u);
   EXPECT_EQ(r->rows[0][0].AsInt(), 55);
@@ -346,8 +352,9 @@ TEST_F(QueryTest, CreateRelViaJoinPipeline) {
                           {Expr::Param(2)})
                .Build();
   auto tx = mgr_->Begin();
-  auto r = engine_->Execute(
-      p, tx.get(), {Value::Int(0), Value::Int(4), Value::Int(777)});
+  auto r = engine_->Execute(p, tx.get(),
+                            {Value::Int(0), Value::Int(4), Value::Int(777)},
+                            jit::ExecutionMode::kInterpret);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(tx->Commit().ok());
 
@@ -374,7 +381,8 @@ TEST_F(QueryTest, SetPropertyPipeline) {
                .SetProperty(0, age_, Expr::Param(1))
                .Build();
   auto tx = mgr_->Begin();
-  auto r = engine_->Execute(p, tx.get(), {Value::Int(2), Value::Int(88)});
+  auto r = engine_->Execute(p, tx.get(), {Value::Int(2), Value::Int(88)},
+                            jit::ExecutionMode::kInterpret);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(tx->Commit().ok());
 
@@ -398,7 +406,7 @@ TEST_F(QueryTest, UncommittedWritesVisibleToOwnQueries) {
   auto tx = mgr_->Begin();
   ASSERT_TRUE(tx->CreateNode(person_, {{id_key_, PVal::Int(500)}}).ok());
   Plan p = PlanBuilder().NodeScan(person_).Count().Build();
-  auto r = engine_->Execute(p, tx.get(), {});
+  auto r = engine_->Execute(p, tx.get(), {}, jit::ExecutionMode::kInterpret);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][0].AsInt(), 6) << "own insert visible pre-commit";
   tx->Abort();
