@@ -29,8 +29,10 @@
 #     crash explorer, media-fault and overload suites re-run with
 #     durability-ordering checks armed.
 # The morsel-driver suite (ctest -L driver: cross-mode equivalence table,
-# engine teardown with an adaptive compile in flight, per-query waits) runs
-# in both the TSAN and the ASan stage.
+# engine teardown with an adaptive compile in flight, per-query waits, the
+# compiled scan's match queue) runs in both the TSAN and the ASan stage; the
+# JIT suites (ctest -L jit) run in the ASan stage, where the runtime helpers
+# that index scan queues and chunk mirrors for generated code are checked.
 # Every stage fails the check on violations (set -e).
 
 ROOT=$(cd "$(dirname "$0")" && pwd)
@@ -62,11 +64,13 @@ if [ "${1:-}" = "--check" ]; then
   cmake -B "$ROOT"/build-asan -S "$ROOT" -DPOSEIDON_ASAN=ON
   cmake --build "$ROOT"/build-asan -j"$(nproc)" --target \
       crash_explorer_test fault_injection_test crash_property_test \
-      media_fault_test overload_test morsel_driver_test
+      media_fault_test overload_test morsel_driver_test jit_test \
+      jit_codegen_test
   ctest --test-dir "$ROOT"/build-asan -L fault --output-on-failure
   ctest --test-dir "$ROOT"/build-asan -L scrub --output-on-failure
   ctest --test-dir "$ROOT"/build-asan -L overload --output-on-failure
   ctest --test-dir "$ROOT"/build-asan -L driver --output-on-failure
+  ctest --test-dir "$ROOT"/build-asan -L jit --output-on-failure
   echo "ASAN FAULT CHECK DONE"
   cmake -B "$ROOT"/build-psan -S "$ROOT" -DPOSEIDON_PSAN=ON
   cmake --build "$ROOT"/build-psan -j"$(nproc)" --target \

@@ -4,6 +4,7 @@
 #include <llvm/IR/Intrinsics.h>
 #include <llvm/IR/Verifier.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 
@@ -56,7 +57,44 @@ static_assert(offsetof(tx::CachedNeighbor, rel_id) == 0);
 static_assert(offsetof(tx::CachedNeighbor, neighbor) == 8);
 static_assert(offsetof(tx::CachedNeighbor, rel_label) == 16);
 
+// Pipelined NodeScan geometry. The queue holds one occupancy word's
+// matches. Both phases prefetch in batches (one latency-model clock read
+// per batch instead of per block) and keep one to two batches in flight,
+// so two batches must fit the model's in-flight slots: phase A's batch is
+// `prefetch_distance` node slots, clamped to half of the slots' worth of
+// blocks; phase B's is kScanPropBatch property heads (jit/runtime.h).
+constexpr uint64_t kScanQueueCap = 64;
+constexpr uint64_t kNodesPerBlock =
+    pmem::kPmemBlockSize / sizeof(storage::NodeRecord);
+constexpr uint64_t kMaxNodeLookahead =
+    pmem::kPrefetchSlots / 2 * kNodesPerBlock;
+static_assert((kScanPropBatch & (kScanPropBatch - 1)) == 0);
+static_assert(2 * kScanPropBatch <= pmem::kPrefetchSlots);
+
 uint8_t KindTag(Value::Kind k) { return static_cast<uint8_t>(k); }
+
+/// True when the plan can read a property of the scanned node (column 0):
+/// a property filter or expression on column 0 before the first Project
+/// rebinds the columns. Only then does the scan prefetch property heads.
+bool ReadsScannedProperty(const std::vector<const Op*>& ops) {
+  auto reads = [](const Expr& e) {
+    return e.kind == Expr::Kind::kProperty && e.column == 0;
+  };
+  for (size_t i = 1; i < ops.size(); ++i) {
+    const Op* op = ops[i];
+    if (op->kind == OpKind::kFilter && op->column == 0 &&
+        op->label == storage::kInvalidCode &&
+        op->key != storage::kInvalidCode) {
+      return true;
+    }
+    if (reads(op->value) || reads(op->value2) ||
+        std::any_of(op->exprs.begin(), op->exprs.end(), reads)) {
+      return true;
+    }
+    if (op->kind == OpKind::kProject) break;
+  }
+  return false;
+}
 
 /// Ops the generator inlines; anything else starts the AOT tail.
 bool IsInlinable(const Op* op, bool is_source) {
@@ -126,10 +164,17 @@ class CodeGenerator {
   /// JitStateHeader::cancellable; a fired token branches to ret_err_.
   void EmitCancelPoll(const char* tag);
 
-  /// Emits a software prefetch for [ptr, ptr+len): the hardware prefetch
-  /// instruction unconditionally, plus the emulated-PMem asynchronous-fill
-  /// helper when the pool charges read latency.
-  void EmitPrefetch(llvm::Value* ptr, uint64_t len);
+  /// What the scan's phase A asks of EmitRecordRef beyond a plain lookup.
+  struct ScanRef {
+    /// The fast path copies the records of this label (any label when
+    /// kInvalidCode) into the handle before the revalidation and points the
+    /// handle at that DRAM copy; it reports records of other labels as
+    /// invisible (the caller tests the label anyway).
+    storage::DictCode label = storage::kInvalidCode;
+    /// Receives an i1 that is true when the slow-path helper filled the
+    /// handle.
+    llvm::Value** via_helper = nullptr;
+  };
 
   /// Resolves record `id` into handle `slot_ptr`. Inlines the paper's hot
   /// path: chunk addressing, occupancy bitmap, MVTO fast-path visibility
@@ -137,9 +182,11 @@ class CodeGenerator {
   /// other cases (locked, chain versions, write set) call the AOT helper.
   /// Returns an i1 "visible". For relationships the handle is ALWAYS
   /// readable afterwards (chain pointers of invisible records); for nodes
-  /// it is readable only when visible. Errors branch to ret_err_.
+  /// it is readable only when visible. Errors branch to ret_err_. A `scan`
+  /// caller also guarantees that `id` lies in an allocated chunk.
   llvm::Value* EmitRecordRef(bool is_node, llvm::Value* id,
-                             llvm::Value* slot_ptr, uint32_t slot_idx);
+                             llvm::Value* slot_ptr, uint32_t slot_idx,
+                             const ScanRef* scan = nullptr);
 
   /// Inline property lookup on a resolved handle: walks the PMem property
   /// chain in IR (snapshot versions fall back to the AOT helper). Returns
@@ -198,7 +245,8 @@ class CodeGenerator {
 
   llvm::FunctionCallee h_node_ref_, h_rel_ref_, h_get_prop_, h_param_,
       h_compare_, h_index_matches_, h_index_match_at_, h_emit_, h_touch_,
-      h_prefetch_, h_expand_cached_, h_should_yield_;
+      h_scan_prefetch_, h_scan_prefetch_props_, h_expand_cached_,
+      h_should_yield_;
 
   std::map<int, Col> params_;
   std::vector<Col> cols_;
@@ -239,9 +287,12 @@ void CodeGenerator::DeclareHelpers() {
   h_touch_ = module_->getOrInsertFunction(
       "poseidon_touch",
       llvm::FunctionType::get(void_ty, {ptr, ptr, i64}, false));
-  h_prefetch_ = module_->getOrInsertFunction(
-      "poseidon_prefetch",
-      llvm::FunctionType::get(void_ty, {ptr, ptr, i64}, false));
+  h_scan_prefetch_ = module_->getOrInsertFunction(
+      "poseidon_scan_prefetch",
+      llvm::FunctionType::get(i64, {ptr, i64, i64}, false));
+  h_scan_prefetch_props_ = module_->getOrInsertFunction(
+      "poseidon_scan_prefetch_props",
+      llvm::FunctionType::get(void_ty, {ptr, ptr, i64, i64}, false));
   h_expand_cached_ = module_->getOrInsertFunction(
       "poseidon_expand_cached",
       llvm::FunctionType::get(ptr, {ptr, i64, i32, i32, i32, i64p}, false));
@@ -325,22 +376,10 @@ void CodeGenerator::EmitTouch(llvm::Value* ptr, uint64_t len) {
   b().SetInsertPoint(cont_bb);
 }
 
-void CodeGenerator::EmitPrefetch(llvm::Value* ptr, uint64_t len) {
-  // llvm.prefetch(ptr, rw=read, locality=0 (streaming), cache=data).
-  b().CreateIntrinsic(llvm::Intrinsic::prefetch, {PtrTy()},
-                      {ptr, C32(0), C32(0), C32(1)});
-  auto* pf_bb = NewBlock("prefetch");
-  auto* cont_bb = NewBlock("prefetch.cont");
-  b().CreateCondBr(hdr_has_latency_, pf_bb, cont_bb);
-  b().SetInsertPoint(pf_bb);
-  b().CreateCall(h_prefetch_, {arg_state_, ptr, C64(len)});
-  b().CreateBr(cont_bb);
-  b().SetInsertPoint(cont_bb);
-}
-
 llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
                                           llvm::Value* slot_ptr,
-                                          uint32_t slot_idx) {
+                                          uint32_t slot_idx,
+                                          const ScanRef* scan) {
   llvm::Value* chunks = is_node ? hdr_node_chunks_ : hdr_rel_chunks_;
   llvm::Value* num_chunks = is_node ? hdr_node_nc_ : hdr_rel_nc_;
   uint64_t header_bytes = is_node ? kNodeHeaderBytes : kRelHeaderBytes;
@@ -361,10 +400,14 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
       is_node ? NewBlock(std::string(tag) + ".miss") : nullptr;
 
   // Bounds check: out-of-snapshot ids (own inserts in fresh chunks) take
-  // the slow path, which resolves them through the write set.
+  // the slow path, which resolves them through the write set. A scan only
+  // visits allocated chunks.
   auto* chunk = b().CreateLShr(id, C64(kRpcShift), "chunk");
-  auto* in_bounds = b().CreateICmpULT(chunk, num_chunks);
-  b().CreateCondBr(in_bounds, addr_bb, slow_bb);
+  if (scan != nullptr) {
+    b().CreateBr(addr_bb);
+  } else {
+    b().CreateCondBr(b().CreateICmpULT(chunk, num_chunks), addr_bb, slow_bb);
+  }
 
   // addr: chunk base + occupancy bitmap test.
   b().SetInsertPoint(addr_bb);
@@ -404,8 +447,29 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
                     b().CreateICmpULT(hdr_ts_, ets)));
   b().CreateCondBr(fast, fast_bb, slow_bb);
 
-  // fast: rts bump (atomic umax, unflushed — §5.1) + revalidation.
+  // fast: rts bump (atomic umax, unflushed — §5.1) + revalidation. A copy
+  // taken before the bump is ordered before it (the bump is a release) and
+  // validated by the re-read after it, seqlock style.
   b().SetInsertPoint(fast_bb);
+  llvm::Value* copy_ptr = nullptr;
+  llvm::Value* wanted = nullptr;  // i1: the live label is `scan->label`
+  if (scan != nullptr) {
+    copy_ptr = b().CreateGEP(I8(), slot_ptr, C64(offsetof(JitHandle, copy)));
+    if (scan->label != storage::kInvalidCode) {
+      wanted = b().CreateICmpEQ(LoadLabel(rec), C32(scan->label));
+      auto* copy_bb = NewBlock(std::string(tag) + ".copy");
+      auto* bump_bb = NewBlock(std::string(tag) + ".bump");
+      b().CreateCondBr(wanted, copy_bb, bump_bb);
+      b().SetInsertPoint(copy_bb);
+      b().CreateMemCpy(copy_ptr, llvm::MaybeAlign(8), rec,
+                       llvm::MaybeAlign(8), rec_size);
+      b().CreateBr(bump_bb);
+      b().SetInsertPoint(bump_bb);
+    } else {
+      b().CreateMemCpy(copy_ptr, llvm::MaybeAlign(8), rec,
+                       llvm::MaybeAlign(8), rec_size);
+    }
+  }
   auto* rts_addr = b().CreateBitCast(
       b().CreateGEP(I8(), rec, C64(storage::kOffsetOfRts)),
       llvm::Type::getInt64PtrTy(*context_));
@@ -416,16 +480,26 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
   auto* bts2 = LoadField64(rec, storage::kOffsetOfBts);
   auto* stable = b().CreateAnd(b().CreateICmpEQ(txn2, C64(0)),
                                b().CreateICmpEQ(bts2, bts));
-  b().CreateCondBr(stable, fill_bb, slow_bb);
+  if (wanted != nullptr) {
+    // The label read above was validated along with the copy: a stable
+    // record of another label is skipped like a free slot.
+    auto* keep_bb = NewBlock(std::string(tag) + ".keep");
+    b().CreateCondBr(stable, keep_bb, slow_bb);
+    b().SetInsertPoint(keep_bb);
+    b().CreateCondBr(wanted, fill_bb, miss_bb);
+  } else {
+    b().CreateCondBr(stable, fill_bb, slow_bb);
+  }
 
-  // fill: handle points at the live PMem record (no copy on the hot path).
+  // fill: handle points at the live PMem record, or at its copy.
   b().SetInsertPoint(fill_bb);
   {
+    llvm::Value* src = scan != nullptr ? copy_ptr : rec;
     auto* pp = b().CreateBitCast(slot_ptr, PtrTy()->getPointerTo());
-    b().CreateStore(rec, pp);
+    b().CreateStore(src, pp);
     StoreField64(slot_ptr, offsetof(JitHandle, id), id);
     StoreField64(slot_ptr, offsetof(JitHandle, props),
-                 LoadField64(rec, props_off));
+                 LoadField64(src, props_off));
     StoreField32(slot_ptr, offsetof(JitHandle, has_snapshot), C32(0));
   }
   b().CreateBr(merge_bb);
@@ -451,6 +525,13 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
   visible->addIncoming(b().getTrue(), fill_bb);
   visible->addIncoming(vis_slow, slow_ok_bb);
   if (is_node) visible->addIncoming(b().getFalse(), miss_bb);
+  if (scan != nullptr && scan->via_helper != nullptr) {
+    auto* slow = b().CreatePHI(b().getInt1Ty(), is_node ? 3 : 2, "via_helper");
+    slow->addIncoming(b().getFalse(), fill_bb);
+    slow->addIncoming(b().getTrue(), slow_ok_bb);
+    if (is_node) slow->addIncoming(b().getFalse(), miss_bb);
+    *scan->via_helper = slow;
+  }
   return visible;
 }
 
@@ -965,19 +1046,45 @@ Status CodeGenerator::EmitPipeline(size_t i, llvm::BasicBlock* cont) {
   }
 }
 
-// Batched scan loop (mirrors ChunkedTable::ScanBatch): the outer loop walks
-// 64-bit occupancy words — one `bits != 0` test skips 64 empty slots — and
-// the inner loop extracts set bits with cttz. Before resolving a record the
-// next occupied record of the word is prefetched, and on entering a chunk
-// the next chunk's header is, so the emulated PMem fill overlaps the MVTO
-// visibility check and downstream operators.
+// Software-pipelined scan loop over each 64-bit occupancy word (one
+// `bits != 0` test skips 64 empty slots; cttz extracts the set bits):
+//  * Phase A resolves every occupied slot of the word once (MVTO fast path,
+//    rts bump, label test) and appends each visible match to a per-word
+//    queue of JitHandles. The fast path copies the validated record into
+//    its queue entry, so nothing after phase A reads the live PMem record.
+//    Node records are prefetched one to two `prefetch_distance` windows
+//    ahead, a window per helper call.
+//  * Phase B runs the downstream pipeline, emitted once, over the queue in
+//    slot order, prefetching property-chain heads one to two batches of
+//    kScanPropBatch entries ahead, so the dependent property read overlaps
+//    the work on the entries before it.
+// A handle filled by the slow-path helper (a chain version or a DRAM
+// property snapshot, whose storage is per handle slot) is queued and then
+// flushed through phase B at once, before the next record can reuse that
+// storage. On entering a chunk the loop charges its header block, from
+// which it reads the occupancy words.
 Status CodeGenerator::EmitNodeScanSource() {
   const Op* src = ops_[0];
   llvm::IRBuilder<> eb(entry_, entry_->begin());
   auto* w_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.w");
   auto* bits_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.bits");
-  auto [slot, slot_idx] = AllocHandle();
-  handle_ptrs_[slot_idx] = slot;
+  auto* qn_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.qn");
+  auto* qi_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.qi");
+  auto* pf_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.pf");
+  auto* queue_alloca = eb.CreateAlloca(
+      llvm::ArrayType::get(eb.getInt8Ty(), kScanQueueCap * sizeof(JitHandle)),
+      nullptr, "scan.queue");
+  queue_alloca->setAlignment(llvm::Align(8));
+  auto* queue = b().CreateBitCast(queue_alloca, PtrTy());
+  // Queue entries resolve into snapshot storage slot `slot_idx`.
+  const uint32_t slot_idx = num_handle_slots_++;
+  const uint64_t distance =
+      std::min<uint64_t>(scan_.prefetch_distance, kMaxNodeLookahead);
+  const bool prefetch_props = distance != 0 && ReadsScannedProperty(ops_);
+  auto entry_at = [&](llvm::Value* i) {
+    return b().CreateGEP(I8(), queue, b().CreateMul(i, C64(sizeof(JitHandle))),
+                         "scan.entry");
+  };
 
   // Occupancy words covering [begin, end): w in [begin>>6, (end+63)>>6).
   // Morsel bounds are multiples of 64 in practice; partial first/last words
@@ -990,41 +1097,56 @@ Status CodeGenerator::EmitNodeScanSource() {
   auto* w_end = b().CreateSelect(b().CreateICmpULT(w_end_raw, w_cap),
                                  w_end_raw, w_cap, "w.end");
   b().CreateStore(w_begin, w_addr);
+  b().CreateStore(C64(0), bits_addr);
+  b().CreateStore(C64(0), qn_addr);
+  b().CreateStore(C64(0), pf_addr);
 
   auto* whead = NewBlock("scan.whead");
   auto* wbody = NewBlock("scan.wbody");
+  auto* wfresh = NewBlock("scan.wfresh");
   auto* wlatch = NewBlock("scan.wlatch");
+  auto* ahead = NewBlock("scan.ahead");
+  auto* abody = NewBlock("scan.abody");
+  auto* bstart = NewBlock("scan.bstart");
   auto* bhead = NewBlock("scan.bhead");
   auto* bbody = NewBlock("scan.bbody");
   auto* blatch = NewBlock("scan.blatch");
+  auto* bdone = NewBlock("scan.bdone");
   b().CreateBr(whead);
 
   b().SetInsertPoint(whead);
   auto* w = b().CreateLoad(I64(), w_addr, "w");
   b().CreateCondBr(b().CreateICmpULT(w, w_end), wbody, ret_ok_);
 
-  // wbody: load the word, mask the partial first/last words of the morsel,
+  // wbody: bits left over from a flush resume phase A on the same word.
+  // A flush re-enters here rather than jumping back into phase A: a second
+  // way back would nest phase A and B in one more loop, which costs
+  // compile time.
+  b().SetInsertPoint(wbody);
+  auto* word_base = b().CreateShl(w, C64(6), "word_base");
+  b().CreateCondBr(
+      b().CreateICmpNE(b().CreateLoad(I64(), bits_addr), C64(0)), ahead,
+      wfresh);
+
+  // wfresh: load the word, mask the partial first/last words of the morsel,
   // skip the whole word when nothing survives. Cancellation poll once per
   // occupancy word (64 slots).
-  b().SetInsertPoint(wbody);
+  b().SetInsertPoint(wfresh);
   EmitCancelPoll("scan");
   auto* chunk = b().CreateLShr(w, C64(3), "chunk");  // 8 words per chunk
   auto* base = b().CreateLoad(
       PtrTy(), b().CreateGEP(PtrTy(), hdr_node_chunks_, chunk), "chunk_base");
-  if (scan_.prefetch_distance != 0) {
-    // First word of a chunk: prefetch the next chunk's header.
-    auto* at_start = b().CreateICmpEQ(b().CreateAnd(w, C64(7)), C64(0));
-    auto* next_chunk = b().CreateAdd(chunk, C64(1));
-    auto* have_next = b().CreateICmpULT(next_chunk, hdr_node_nc_);
-    auto* pf_bb = NewBlock("scan.pfhdr");
-    auto* pf_cont = NewBlock("scan.pfhdr.cont");
-    b().CreateCondBr(b().CreateAnd(at_start, have_next), pf_bb, pf_cont);
-    b().SetInsertPoint(pf_bb);
-    auto* next_base = b().CreateLoad(
-        PtrTy(), b().CreateGEP(PtrTy(), hdr_node_chunks_, next_chunk));
-    EmitPrefetch(next_base, kNodeHeaderBytes);
-    b().CreateBr(pf_cont);
-    b().SetInsertPoint(pf_cont);
+  {
+    auto* at_entry = b().CreateOr(
+        b().CreateICmpEQ(b().CreateAnd(w, C64(7)), C64(0)),
+        b().CreateICmpEQ(w, w_begin));
+    auto* hdr_bb = NewBlock("scan.hdr");
+    auto* hdr_cont = NewBlock("scan.hdr.cont");
+    b().CreateCondBr(at_entry, hdr_bb, hdr_cont);
+    b().SetInsertPoint(hdr_bb);
+    EmitTouch(base, kNodeHeaderBytes);
+    b().CreateBr(hdr_cont);
+    b().SetInsertPoint(hdr_cont);
   }
   auto* word_addr = b().CreateGEP(
       I8(), base,
@@ -1033,7 +1155,6 @@ Status CodeGenerator::EmitNodeScanSource() {
       I64(),
       b().CreateBitCast(word_addr, llvm::Type::getInt64PtrTy(*context_)),
       "occ");
-  auto* word_base = b().CreateShl(w, C64(6), "word_base");
   auto* lo_mask = b().CreateSelect(
       b().CreateICmpEQ(w, w_begin),
       b().CreateShl(C64(~0ull), b().CreateAnd(arg_begin_, C64(63))),
@@ -1044,55 +1165,101 @@ Status CodeGenerator::EmitNodeScanSource() {
       b().CreateSub(b().CreateShl(C64(1), avail), C64(1)), C64(~0ull));
   auto* bits0 = b().CreateAnd(word, b().CreateAnd(lo_mask, hi_mask), "bits");
   b().CreateStore(bits0, bits_addr);
-  b().CreateCondBr(b().CreateICmpEQ(bits0, C64(0)), wlatch, bhead);
+  b().CreateCondBr(b().CreateICmpEQ(bits0, C64(0)), wlatch, ahead);
 
-  b().SetInsertPoint(bhead);
+  // Phase A: resolve the next occupied slot into the queue's tail entry.
+  b().SetInsertPoint(ahead);
   auto* bits = b().CreateLoad(I64(), bits_addr);
-  b().CreateCondBr(b().CreateICmpEQ(bits, C64(0)), wlatch, bbody);
+  b().CreateCondBr(b().CreateICmpEQ(bits, C64(0)), bstart, abody);
 
-  b().SetInsertPoint(bbody);
+  b().SetInsertPoint(abody);
   auto* tz = b().CreateIntrinsic(llvm::Intrinsic::cttz, {I64()},
                                  {bits, b().getInt1(true)});
   auto* id = b().CreateOr(word_base, tz, "id");
-  auto* rest = b().CreateAnd(bits, b().CreateSub(bits, C64(1)));
-  b().CreateStore(rest, bits_addr);
-  if (scan_.prefetch_distance != 0) {
-    // Prefetch the next occupied record of this word before the current
-    // one's (latency-charged) resolution.
+  b().CreateStore(b().CreateAnd(bits, b().CreateSub(bits, C64(1))), bits_addr);
+  if (distance != 0) {
+    // Once fewer than `distance` slots ahead are in flight, prefetch up to
+    // 2 * distance slots ahead (the word's first record starts the ramp).
+    auto* pf = b().CreateLoad(I64(), pf_addr, "pf");
     auto* pf_bb = NewBlock("scan.pfrec");
     auto* pf_cont = NewBlock("scan.pfrec.cont");
-    b().CreateCondBr(b().CreateICmpNE(rest, C64(0)), pf_bb, pf_cont);
+    b().CreateCondBr(
+        b().CreateAnd(hdr_has_latency_,
+                      b().CreateICmpUGE(b().CreateAdd(id, C64(distance)), pf)),
+        pf_bb, pf_cont);
     b().SetInsertPoint(pf_bb);
-    auto* ntz = b().CreateIntrinsic(llvm::Intrinsic::cttz, {I64()},
-                                    {rest, b().getInt1(true)});
-    auto* nslot = b().CreateAnd(b().CreateOr(word_base, ntz), C64(kRpcMask));
-    auto* nrec = b().CreateGEP(
-        I8(), base,
-        b().CreateAdd(C64(kNodeHeaderBytes),
-                      b().CreateMul(nslot,
-                                    C64(sizeof(storage::NodeRecord)))));
-    EmitPrefetch(nrec, sizeof(storage::NodeRecord));
+    auto* from = b().CreateSelect(b().CreateICmpUGT(pf, id), pf, id);
+    b().CreateStore(
+        b().CreateCall(h_scan_prefetch_,
+                       {arg_state_, from, b().CreateAdd(id, C64(2 * distance))}),
+        pf_addr);
     b().CreateBr(pf_cont);
     b().SetInsertPoint(pf_cont);
   }
-  auto* visible = EmitRecordRef(/*is_node=*/true, id, slot, slot_idx);
+  auto* qn = b().CreateLoad(I64(), qn_addr, "qn");
+  auto* tail = entry_at(qn);
+  llvm::Value* via_helper = nullptr;
+  const ScanRef ref{src->label, &via_helper};
+  auto* visible = EmitRecordRef(/*is_node=*/true, id, tail, slot_idx, &ref);
   auto* check = NewBlock("scan.check");
-  b().CreateCondBr(visible, check, blatch);
+  auto* enqueue = NewBlock("scan.enqueue");
+  b().CreateCondBr(visible, check, ahead);
   b().SetInsertPoint(check);
   if (src->label != storage::kInvalidCode) {
-    auto* rec = LoadRec(slot);
-    auto* match = b().CreateICmpEQ(LoadLabel(rec), C32(src->label));
-    auto* process = NewBlock("scan.process");
-    b().CreateCondBr(match, process, blatch);
-    b().SetInsertPoint(process);
+    auto* match = b().CreateICmpEQ(LoadLabel(LoadRec(tail)), C32(src->label));
+    b().CreateCondBr(match, enqueue, ahead);
+  } else {
+    b().CreateBr(enqueue);
   }
+  b().SetInsertPoint(enqueue);
+  b().CreateStore(b().CreateAdd(qn, C64(1)), qn_addr);
+  b().CreateCondBr(via_helper, bstart, ahead);
+
+  // Phase B: the downstream pipeline over the queued handles.
+  b().SetInsertPoint(bstart);
+  auto* queued = b().CreateLoad(I64(), qn_addr, "queued");
+  b().CreateStore(C64(0), qi_addr);
+  b().CreateBr(bhead);
+
+  b().SetInsertPoint(bhead);
+  auto* qi = b().CreateLoad(I64(), qi_addr, "qi");
+  b().CreateCondBr(b().CreateICmpULT(qi, queued), bbody, bdone);
+
+  b().SetInsertPoint(bbody);
+  if (prefetch_props) {
+    // One helper call per batch of kScanPropBatch entries.
+    auto* at_batch =
+        b().CreateICmpEQ(b().CreateAnd(qi, C64(kScanPropBatch - 1)), C64(0));
+    auto* pf_bb = NewBlock("scan.pfprops");
+    auto* pf_cont = NewBlock("scan.pfprops.cont");
+    b().CreateCondBr(b().CreateAnd(hdr_has_latency_, at_batch), pf_bb,
+                     pf_cont);
+    b().SetInsertPoint(pf_bb);
+    b().CreateCall(h_scan_prefetch_props_, {arg_state_, queue, qi, queued});
+    b().CreateBr(pf_cont);
+    b().SetInsertPoint(pf_cont);
+  }
+  auto* head = entry_at(qi);
+  handle_ptrs_[slot_idx] = head;
   cols_.clear();
-  cols_.push_back(
-      Col{id, CKind(Value::Kind::kNode), static_cast<int>(slot_idx)});
+  cols_.push_back(Col{LoadField64(head, offsetof(JitHandle, id)),
+                      CKind(Value::Kind::kNode), static_cast<int>(slot_idx)});
   POSEIDON_RETURN_IF_ERROR(EmitPipeline(1, blatch));
 
   b().SetInsertPoint(blatch);
+  b().CreateStore(b().CreateAdd(b().CreateLoad(I64(), qi_addr), C64(1)),
+                  qi_addr);
   b().CreateBr(bhead);
+
+  // Queue drained: move to the next word, or back to this one after a
+  // flush. The node lookahead restarts from scratch, as phase B's property
+  // prefetches may have evicted its blocks.
+  b().SetInsertPoint(bdone);
+  b().CreateStore(C64(0), qn_addr);
+  b().CreateStore(C64(0), pf_addr);
+  b().CreateCondBr(
+      b().CreateICmpEQ(b().CreateLoad(I64(), bits_addr), C64(0)), wlatch,
+      whead);
 
   b().SetInsertPoint(wlatch);
   auto* wcur = b().CreateLoad(I64(), w_addr);
@@ -1229,6 +1396,13 @@ Result<CodegenResult> CodeGenerator::Generate() {
       I32(), {PtrTy(), I64(), I64(), I32()}, false);
   fn_ = llvm::Function::Create(fn_ty, llvm::Function::ExternalLinkage,
                                fn_name_, module_.get());
+  // The pipelines are bound by memory traffic and helper calls, not by code
+  // quality (EXPERIMENTS.md E8), so size-conscious optimization is enough:
+  // it keeps the O3 pipeline from duplicating loops per invariant flag
+  // (loop unswitching) and from speculative unrolling, which cut compile
+  // time by about a fifth without a measurable change in execution time
+  // (E7b follow-up).
+  fn_->addFnAttr(llvm::Attribute::OptimizeForSize);
   arg_state_ = fn_->getArg(0);
   arg_begin_ = fn_->getArg(1);
   arg_end_ = fn_->getArg(2);

@@ -3,7 +3,8 @@
 // The generator transforms the complete query pipeline into a single IR
 // function (entry/consume-block structure per operator), inlining the hot
 // data path:
-//   * the chunk-table scan loop over record ids,
+//   * the chunk-table scan loop over record ids (a per-word match queue,
+//     see EmitNodeScanSource),
 //   * record field loads (label, adjacency pointers, src/dst) at the fixed
 //     byte offsets of storage/records.h,
 //   * adjacency-list traversal loops for ForeachRelationship,
@@ -50,9 +51,12 @@ struct CodegenResult {
 /// Generates the IR module for `plan`. `function_name` must be unique per
 /// module (the engine derives it from the plan signature hash). The
 /// node-scan source iterates occupancy bitmap words (whole-word skip test,
-/// cttz bit extraction); `scan.prefetch_distance` > 0 adds software
-/// prefetches for the next occupied record and the next chunk header. The
-/// knobs are part of the compiled-code cache key.
+/// cttz bit extraction) in two phases: it resolves a word's occupied slots
+/// into a queue of handles holding DRAM record copies, then runs the
+/// downstream pipeline over the queue. `scan.prefetch_distance` > 0 adds
+/// software prefetches of node records (one to two distances ahead, clamped
+/// to the latency model's in-flight slots) and of the queued entries'
+/// property-chain heads; it is part of the compiled-code cache key.
 ///
 /// `adj_cache` bakes the DRAM adjacency-cache fast path into every kExpand:
 /// a per-node poseidon_expand_cached probe plus a DRAM array loop, with the

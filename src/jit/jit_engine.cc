@@ -60,7 +60,8 @@ llvm::Error RegisterRuntimeSymbols(llvm::orc::LLJIT* jit,
   add("poseidon_index_match_at", &poseidon_index_match_at);
   add("poseidon_emit", &poseidon_emit);
   add("poseidon_touch", &poseidon_touch);
-  add("poseidon_prefetch", &poseidon_prefetch);
+  add("poseidon_scan_prefetch", &poseidon_scan_prefetch);
+  add("poseidon_scan_prefetch_props", &poseidon_scan_prefetch_props);
   add("poseidon_expand_cached", &poseidon_expand_cached);
   add("poseidon_should_yield", &poseidon_should_yield);
   return jd.define(llvm::orc::absoluteSymbols(std::move(symbols)));
@@ -126,12 +127,14 @@ Result<std::unique_ptr<JitEngine>> JitEngine::Create(QueryCache* cache) {
 }
 
 uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
-                               const JitOptions& options) {
+                               const JitOptions& options,
+                               uint32_t codegen_version) {
   uint64_t id =
       HashCombine(HashString(plan.Signature()), options.optimize ? 1 : 2);
-  // The scan knobs are codegen inputs (they change the emitted loop), so
-  // they participate in the cache key.
-  id = HashCombine(id, options.scan.batch_size);
+  // Code persisted by another generator version must never be linked.
+  id = HashCombine(id, codegen_version);
+  // The prefetch distance is baked into the scan loop, so it participates
+  // in the cache key; the batch size is an interpreter-only knob.
   id = HashCombine(id, options.scan.prefetch_distance);
   // So is the adjacency-cache fast path (dual Expand loop vs chain walk).
   id = HashCombine(id, options.adj_cache ? 1 : 2);

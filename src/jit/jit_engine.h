@@ -4,7 +4,8 @@
 //
 // Pass cascade (paper list): Promote Memory To Register, Control Flow Graph
 // Simplification, Loop Unrolling, Dead Code Elimination, Instruction
-// Combining — followed by the standard -O3 pipeline.
+// Combining — followed by the standard -O3 pipeline, which runs
+// size-conscious because generated functions carry `optsize` (codegen.cc).
 
 #ifndef POSEIDON_JIT_JIT_ENGINE_H_
 #define POSEIDON_JIT_JIT_ENGINE_H_
@@ -43,15 +44,22 @@ struct CompiledQuery {
   double compile_ms = 0;
 };
 
+/// Version of the generated code, mixed into every compiled-code cache key.
+/// The persistent QueryCache outlives the binary that filled it, so bump
+/// this whenever the emitted code changes shape or the JitHandle /
+/// JitStateHeader layout it reads changes: entries cached by another
+/// version then miss and are compiled afresh instead of being linked.
+inline constexpr uint32_t kCodegenVersion = 2;
+
 struct JitOptions {
   /// Run the optimization pass cascade + O3 (paper §6.2). Disable for the
   /// ablation benchmark only.
   bool optimize = true;
   /// Consult/fill the persistent code cache.
   bool use_persistent_cache = true;
-  /// Batched-scan knobs baked into the generated scan loop (word-level
-  /// skip test, prefetch distance). Part of the cache key: different knob
-  /// settings produce different machine code.
+  /// Scan knobs: the generated scan loop bakes in `prefetch_distance`,
+  /// which is therefore part of the cache key (`batch_size` only steers
+  /// the interpreter's gather loop and is not).
   storage::ScanOptions scan;
   /// Bake the DRAM adjacency-cache probe + array loop into kExpand
   /// (poseidon_expand_cached fast path with chain-walk fallback). Part of
@@ -89,9 +97,11 @@ class JitEngine {
                                       const JitOptions& options = {});
   Result<CompiledQuery> FinishCompile(PendingCompile pending);
 
-  /// Stable identifier of (plan, options) — the compiled-code cache key.
+  /// Stable identifier of (plan, options, generator version) — the
+  /// compiled-code cache key.
   static uint64_t QueryIdFor(const query::Plan& plan,
-                             const JitOptions& options);
+                             const JitOptions& options,
+                             uint32_t codegen_version = kCodegenVersion);
 
   QueryCache* cache() const { return cache_; }
 

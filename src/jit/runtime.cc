@@ -1,5 +1,6 @@
 #include "jit/runtime.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace poseidon::jit {
@@ -208,8 +209,67 @@ void poseidon_touch(void* state, const void* ptr, uint64_t len) {
   State(state)->ctx.store->pool()->TouchRead(ptr, len);
 }
 
-void poseidon_prefetch(void* state, const void* ptr, uint64_t len) {
-  State(state)->ctx.store->pool()->TouchPrefetch(ptr, len);
+uint64_t poseidon_scan_prefetch(void* state, uint64_t from, uint64_t to) {
+  using storage::NodeRecord;
+  using storage::NodeTable;
+  constexpr uint64_t kPerChunk = NodeTable::kBitmapWords * 64;
+  constexpr uint64_t kBlock = pmem::kPmemBlockSize;
+  auto* s = State(state);
+  const JitStateHeader& h = s->header;
+  const uint64_t end = std::min(to, h.node_num_chunks * kPerChunk);
+  while (from < end) {
+    const uint64_t chunk = from / kPerChunk;
+    const uint64_t first = from % kPerChunk;
+    // Extend the range to the end of the block holding its last slot, so
+    // the next call starts on a fresh block.
+    uint64_t last = std::min(end - chunk * kPerChunk, kPerChunk);
+    const uint64_t end_byte =
+        (NodeTable::kHeaderBytes + last * sizeof(NodeRecord) + kBlock - 1) /
+        kBlock * kBlock;
+    last = std::min((end_byte - NodeTable::kHeaderBytes) / sizeof(NodeRecord),
+                    kPerChunk);
+    const char* slots = h.node_chunks[chunk] + NodeTable::kHeaderBytes;
+    s->ctx.store->pool()->TouchPrefetch(slots + first * sizeof(NodeRecord),
+                                        (last - first) * sizeof(NodeRecord));
+    from = chunk * kPerChunk + last;
+  }
+  return std::max(from, to);
+}
+
+void poseidon_scan_prefetch_props(void* state, const void* queue,
+                                  uint64_t at, uint64_t queued) {
+  using storage::PropertyTable;
+  constexpr uint64_t kPerChunk = PropertyTable::kBitmapWords * 64;
+  constexpr uint64_t kRec = sizeof(storage::PropertyRecord);
+  const uint64_t from = at == 0 ? 0 : at + kScanPropBatch;
+  const uint64_t to = std::min(at + 2 * kScanPropBatch, queued);
+  if (from >= to) return;
+  auto* s = State(state);
+  const JitStateHeader& h = s->header;
+  const auto* handles = static_cast<const JitHandle*>(queue);
+  // Heads of neighbouring matches often sit a few records apart; one range
+  // over them costs one model clock read instead of one per head. A range
+  // spans at most one block per head, so it takes no more in-flight slots
+  // than separate prefetches would.
+  const uint64_t max_span = (to - from) * pmem::kPmemBlockSize;
+  const char* lo = nullptr;
+  const char* hi = nullptr;
+  for (uint64_t i = from; i < to; ++i) {
+    const JitHandle& e = handles[i];
+    if (e.has_snapshot != 0 || e.props == storage::kNullId) continue;
+    const uint64_t chunk = e.props / kPerChunk;
+    if (chunk >= h.prop_num_chunks) continue;
+    const char* rec = h.prop_chunks[chunk] + PropertyTable::kHeaderBytes +
+                      e.props % kPerChunk * kRec;
+    if (lo != nullptr && rec >= lo && rec + kRec <= lo + max_span) {
+      hi = std::max(hi, rec + kRec);
+      continue;
+    }
+    if (lo != nullptr) s->ctx.store->pool()->TouchPrefetch(lo, hi - lo);
+    lo = rec;
+    hi = rec + kRec;
+  }
+  if (lo != nullptr) s->ctx.store->pool()->TouchPrefetch(lo, hi - lo);
 }
 
 int32_t poseidon_should_yield(void* state) {

@@ -29,6 +29,9 @@
 
 namespace poseidon::jit {
 
+/// Queue entries per property-head prefetch batch of the compiled NodeScan.
+inline constexpr uint64_t kScanPropBatch = 4;
+
 /// POD header at the start of JitRuntimeState, read directly by generated
 /// code (field offsets are hard-coded in jit/codegen.cc): chunk-table
 /// geometry for inline record addressing, the transaction timestamp for the
@@ -50,8 +53,9 @@ struct JitStateHeader {
 
 /// A resolved record reference living in a stack slot of generated code.
 /// `rec` points either at the PMem record (fast path) or at `copy` (version
-/// from the DRAM chain / write set). Property snapshots for non-fast-path
-/// versions are kept per-slot in JitRuntimeState.
+/// from the DRAM chain / write set, and every entry of the NodeScan queue,
+/// whose fast path copies the record too). Property snapshots for
+/// non-fast-path versions are kept per-slot in JitRuntimeState.
 struct JitHandle {
   const void* rec = nullptr;
   storage::RecordId id = storage::kNullId;
@@ -142,12 +146,23 @@ uint64_t poseidon_index_match_at(void* state, uint32_t thread, uint64_t i);
 /// code calls this only when JitStateHeader::read_latency is nonzero.
 void poseidon_touch(void* state, const void* ptr, uint64_t len);
 
-/// Starts the emulated-PMem asynchronous fill for [ptr, ptr+len) without
-/// blocking (the hardware prefetch instruction is emitted inline by the
-/// generated code). A later poseidon_touch of the same block pays only the
-/// residual latency. Called only when JitStateHeader::read_latency is
-/// nonzero.
-void poseidon_prefetch(void* state, const void* ptr, uint64_t len);
+/// Node-scan record prefetch: starts the modeled fills of the node-record
+/// 256 B blocks covering slots [from, to), split at chunk boundaries through
+/// the chunk mirror and clamped to the table. Returns the first slot past
+/// the last block covered (>= to), so the generated loop calls again only
+/// when its lookahead crosses into an unfetched block. Called only when
+/// JitStateHeader::read_latency is nonzero.
+uint64_t poseidon_scan_prefetch(void* state, uint64_t from, uint64_t to);
+
+/// Property-head prefetch for the NodeScan queue (`queue`, a JitHandle
+/// array of `queued` entries), called when the consumer reaches entry `at`,
+/// a multiple of kScanPropBatch: starts the modeled fills of the property-
+/// chain heads of the batch after the next one — of the first two batches
+/// when `at` is 0 — so one to two batches are in flight. Handles with DRAM
+/// snapshot properties or no properties are skipped. Called only when
+/// JitStateHeader::read_latency is nonzero.
+void poseidon_scan_prefetch_props(void* state, const void* queue,
+                                  uint64_t at, uint64_t queued);
 
 /// Probes (or lazily builds) the versioned DRAM adjacency cache for
 /// (node_id, direction). On success returns the base of a CachedNeighbor

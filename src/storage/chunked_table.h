@@ -300,9 +300,12 @@ class ChunkedTable {
   /// occupancy words via countr_zero and prefetching the next chunk header
   /// while the current chunk's bitmap is consumed. Advances *cursor past the
   /// last examined slot; returns the number of ids emitted (0 = range
-  /// exhausted). Bitmap words are probed with acquire loads; record payloads
+  /// exhausted). Bitmap words are probed with acquire loads, and each chunk
+  /// header block is charged once per entry into the chunk; record payloads
   /// are NOT touched here — consumers pair At() with Prefetch() to overlap
-  /// the PMem read latency (see ForEachBatch).
+  /// the PMem read latency (see ForEachBatch). Point accesses (IsOccupied)
+  /// leave the header uncharged: the few KB of headers would sit in CPU
+  /// caches on real hardware, while a scan streams them.
   uint64_t ScanBatch(RecordId* cursor, RecordId end, const ScanOptions& opts,
                      RecordId* ids, uint64_t cap) const {
     uint64_t slots = NumSlots();
@@ -315,6 +318,9 @@ class ChunkedTable {
       if (chunk != cur_chunk) {
         cur_chunk = chunk;
         MaybeVerifyChunk(chunk);
+        // The occupancy words below are PMem reads too: charge the header
+        // block once per chunk entry.
+        pool_->TouchRead(chunk_ptrs_[chunk], kHeaderBytes);
         uint64_t next_chunk = chunk + 1;
         if (opts.prefetch_distance != 0 &&
             next_chunk * kRecordsPerChunk < end) {

@@ -1,7 +1,7 @@
 // Tuning knobs for the batched scan kernels (ChunkedTable::ScanBatch /
-// ForEachBatch, the JIT's word-skip scan loop): the batch size and the
-// software-prefetch depth. prefetch_distance 0 disables latency hiding
-// while keeping the word-level skip test.
+// ForEachBatch, the JIT's pipelined word loop): the interpreter's batch
+// size and the software-prefetch depth. prefetch_distance 0 disables
+// latency hiding while keeping the word-level skip test.
 
 #ifndef POSEIDON_STORAGE_SCAN_OPTIONS_H_
 #define POSEIDON_STORAGE_SCAN_OPTIONS_H_
@@ -12,12 +12,17 @@
 namespace poseidon::storage {
 
 struct ScanOptions {
-  /// Records gathered per batch before the consumer loop runs. One batch is
-  /// the unit of software pipelining; a morsel is split into batches.
+  /// Records gathered per batch before the interpreter's consumer loop
+  /// runs; a morsel is split into batches. Compiled scans consume whole
+  /// occupancy words and ignore it.
   uint32_t batch_size = 256;
-  /// How many records ahead of the consumer a prefetch is issued
-  /// (0 = no prefetching). Bounded by the latency model's in-flight slots.
-  uint32_t prefetch_distance = 4;
+  /// How many record slots ahead of the consumer a prefetch is issued
+  /// (0 = no prefetching). The interpreter prefetches one record per
+  /// consumed record; compiled scans prefetch node blocks one to two
+  /// distances ahead, one window per call, clamped so two windows fit the
+  /// latency model's in-flight slots (pmem::kPrefetchSlots). 16 won the
+  /// {4, 8, 16, 32} sweep of EXPERIMENTS.md E7b.
+  uint32_t prefetch_distance = 16;
 
   /// Environment overrides for sweeps without recompiling:
   ///   POSEIDON_SCAN_BATCH_SIZE, POSEIDON_SCAN_PREFETCH_DIST

@@ -332,6 +332,31 @@ TEST_F(JitCodegenTest, GroupByRunsInAotTailUnderJit) {
   ASSERT_EQ(r->rows.size(), 3u);
 }
 
+TEST_F(JitCodegenTest, NodeScanEmitsItsPipelineOnce) {
+  // The pipelined scan runs the downstream operators from one place: the
+  // flush of a slow-path handle reuses the queue's consumer loop instead of
+  // a second copy of the pipeline.
+  std::vector<Plan> plans;
+  plans.push_back(PlanBuilder()
+                      .NodeScan(thing_)
+                      .FilterProperty(0, v_, CmpOp::kLt,
+                                      Expr::Literal(Value::Int(5)))
+                      .Project({Expr::Property(0, v_)})
+                      .Build());
+  plans.push_back(PlanBuilder()
+                      .NodeScan(thing_)
+                      .Expand(0, Direction::kOut, edge_)
+                      .Count()
+                      .Build());
+  for (const Plan& p : plans) {
+    auto code = GenerateQueryIR(p, "q_emit_once");
+    ASSERT_TRUE(code.ok()) << code.status().ToString();
+    const llvm::Function* emit = code->module->getFunction("poseidon_emit");
+    ASSERT_NE(emit, nullptr);
+    EXPECT_EQ(emit->getNumUses(), 1u);
+  }
+}
+
 TEST_F(JitCodegenTest, CompileFailsGracefullyOnUnsupportedSource) {
   // A plan whose source the code generator does not support must surface a
   // clean error, not crash.

@@ -235,6 +235,63 @@ TEST_F(JitTest, PersistentCacheServesNewEngine) {
   EXPECT_TRUE(SameRows(*first, *r, /*order_sensitive=*/false));
 }
 
+TEST_F(JitTest, CacheKeyIsVersionedAndIgnoresBatchSize) {
+  const auto& s = ds_->schema;
+  Plan p = PlanBuilder()
+               .NodeScan(s.forum)
+               .Project({Expr::Property(0, s.id)})
+               .Build();
+  JitOptions options;
+  options.scan = engine_->scan_options();
+  options.adj_cache = engine_->adj_cache_enabled();
+  JitOptions other_batch = options;
+  other_batch.scan.batch_size = options.scan.batch_size * 2 + 1;
+  EXPECT_EQ(JitEngine::QueryIdFor(p, options),
+            JitEngine::QueryIdFor(p, other_batch))
+      << "codegen never reads batch_size";
+  const uint64_t id = JitEngine::QueryIdFor(p, options);
+  const uint64_t old_id =
+      JitEngine::QueryIdFor(p, options, kCodegenVersion - 1);
+  ASSERT_NE(id, old_id);
+
+  // Fill a cache with this plan's object, then plant the same linkable
+  // bytes in a second cache under the previous generator version's id, as
+  // a pool written by an older binary would hold them.
+  auto current = QueryCache::Create(pool_);
+  auto stale = QueryCache::Create(pool_);
+  ASSERT_TRUE(current.ok() && stale.ok());
+  {
+    auto engine = JitQueryEngine::Create(store_, indexes_, 2, current->get());
+    ASSERT_TRUE(engine.ok());
+    auto tx = mgr_->Begin();
+    ASSERT_TRUE(
+        (*engine)->Execute(p, tx.get(), {}, ExecutionMode::kJit).ok());
+    ASSERT_TRUE(tx->Commit().ok());
+  }
+  auto blob = (*current)->Get(id);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  ASSERT_TRUE((*stale)->Put(old_id, blob->data(), blob->size()).ok());
+
+  auto expected = Run(p, {}, ExecutionMode::kInterpret);
+  ASSERT_TRUE(expected.ok());
+  for (bool linked : {false, true}) {
+    SCOPED_TRACE(linked ? "second engine" : "first engine");
+    auto engine = JitQueryEngine::Create(store_, indexes_, 2, stale->get());
+    ASSERT_TRUE(engine.ok());
+    auto tx = mgr_->Begin();
+    ExecStats stats;
+    auto r = (*engine)->Execute(p, tx.get(), {}, ExecutionMode::kJit, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(tx->Commit().ok());
+    // The old-version entry is never linked: the first engine compiles
+    // afresh and caches under the current id, which the second one links.
+    EXPECT_EQ(stats.cache_hit, linked);
+    EXPECT_EQ(stats.compile_ms > 0, !linked);
+    EXPECT_TRUE(SameRows(*expected, *r, /*order_sensitive=*/false));
+  }
+  EXPECT_TRUE((*stale)->Contains(id));
+}
+
 TEST_F(JitTest, AdaptiveMatchesInterpreter) {
   const auto& s = ds_->schema;
   Plan p = PlanBuilder()

@@ -6,7 +6,8 @@
 // a serial run after its first morsel). Regression tests pin the driver's
 // lifecycle and scheduling guarantees: an engine destroyed with an adaptive
 // compile in flight drains it first, and parallel queries wait for their own
-// morsels only, never for the whole worker pool.
+// morsels only, never for the whole worker pool. The pipelined-scan tests
+// pin the per-word match queue of the compiled NodeScan.
 
 #include "jit/jit_query_engine.h"
 
@@ -97,8 +98,8 @@ bool Serial(ExecutionMode m) {
   return m == ExecutionMode::kInterpret || m == ExecutionMode::kJit;
 }
 
-/// Order-insensitive row fingerprint (parallel morsels finish in any order).
-std::vector<std::string> Fingerprint(const QueryResult& r) {
+/// Rows in emission order (serial modes emit in slot order).
+std::vector<std::string> Rows(const QueryResult& r) {
   std::vector<std::string> out;
   for (const auto& t : r.rows) {
     std::string k;
@@ -108,6 +109,12 @@ std::vector<std::string> Fingerprint(const QueryResult& r) {
     }
     out.push_back(std::move(k));
   }
+  return out;
+}
+
+/// Order-insensitive row fingerprint (parallel morsels finish in any order).
+std::vector<std::string> Fingerprint(const QueryResult& r) {
+  std::vector<std::string> out = Rows(r);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -440,6 +447,193 @@ TEST_F(MorselDriverTest, ParallelQueryWaitsOnlyForItsOwnMorsels) {
         << "the query must not wait for another task's worker";
   }
   (*engine)->WaitForBackgroundCompiles();
+}
+
+// The compiled NodeScan resolves a whole occupancy word into a queue before
+// it runs the downstream pipeline over it. These tests pin what the queue
+// must not change: per-row values (including versions that only the
+// slow-path helper can resolve), row order, full words, a Limit's stop and
+// agreement with the interpreter under a concurrent writer.
+class PipelinedScanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto pool = pmem::Pool::CreateVolatile(64ull << 20);
+    ASSERT_TRUE(pool.ok());
+    pool_ = std::move(*pool);
+    auto store = storage::GraphStore::Create(pool_.get());
+    ASSERT_TRUE(store.ok());
+    store_ = std::move(*store);
+    indexes_ = std::make_unique<index::IndexManager>(store_.get());
+    mgr_ = std::make_unique<tx::TransactionManager>(store_.get(),
+                                                    indexes_.get());
+    auto engine =
+        JitQueryEngine::Create(store_.get(), indexes_.get(), 2, nullptr);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = std::move(*engine);
+    item_ = *store_->Code("Item");
+    v_ = *store_->Code("v");
+    edge_ = *store_->Code("edge");
+  }
+
+  /// Creates `n` Item nodes with v = 0..n-1 in one transaction.
+  std::vector<RecordId> CreateItems(int n) {
+    std::vector<RecordId> ids;
+    auto tx = mgr_->Begin();
+    for (int i = 0; i < n; ++i) {
+      auto id = tx->CreateNode(item_, {{v_, PVal::Int(i)}});
+      EXPECT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    EXPECT_TRUE(tx->Commit().ok());
+    return ids;
+  }
+
+  Plan IdAndValue() const {
+    return PlanBuilder()
+        .NodeScan(item_)
+        .FilterProperty(0, v_, CmpOp::kGe, Expr::Literal(Value::Int(0)))
+        .Project({Expr::RecordId(0), Expr::Property(0, v_)})
+        .Build();
+  }
+
+  /// Runs `plan` in kInterpret and kJit inside `tx` (one snapshot).
+  void ExpectSameRows(const Plan& plan, tx::Transaction* tx,
+                      QueryResult* jit_out = nullptr) {
+    auto aot = engine_->Execute(plan, tx, {}, ExecutionMode::kInterpret);
+    ExecStats stats;
+    auto jit = engine_->Execute(plan, tx, {}, ExecutionMode::kJit, &stats);
+    ASSERT_TRUE(aot.ok()) << aot.status().ToString();
+    ASSERT_TRUE(jit.ok()) << jit.status().ToString();
+    EXPECT_FALSE(stats.jit_fallback);
+    EXPECT_EQ(stats.interpreted_morsels, 0u);
+    EXPECT_EQ(Rows(*jit), Rows(*aot));
+    if (jit_out != nullptr) *jit_out = std::move(*jit);
+  }
+
+  std::unique_ptr<pmem::Pool> pool_;
+  std::unique_ptr<storage::GraphStore> store_;
+  std::unique_ptr<index::IndexManager> indexes_;
+  std::unique_ptr<tx::TransactionManager> mgr_;
+  std::unique_ptr<JitQueryEngine> engine_;
+  DictCode item_, v_, edge_;
+};
+
+TEST_F(PipelinedScanTest, OldSnapshotKeepsMidWordVersionsInTheirOwnRows) {
+  // Nodes 20 and 22 are updated after the reader's snapshot: both resolve
+  // through the slow-path helper into the one snapshot slot of the scan
+  // handle, so each must reach the pipeline before the next one is read.
+  std::vector<RecordId> ids = CreateItems(64);
+  auto reader = mgr_->Begin();
+  {
+    auto tx = mgr_->Begin();
+    ASSERT_TRUE(tx->SetNodeProperty(ids[20], v_, PVal::Int(1020)).ok());
+    ASSERT_TRUE(tx->SetNodeProperty(ids[22], v_, PVal::Int(1022)).ok());
+    ASSERT_TRUE(tx->Commit().ok());
+  }
+  QueryResult rows;
+  ExpectSameRows(IdAndValue(), reader.get(), &rows);
+  ASSERT_EQ(rows.rows.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(rows.rows[i][0].AsInt(), static_cast<int64_t>(ids[i]));
+    EXPECT_EQ(rows.rows[i][1].AsInt(), static_cast<int64_t>(i));
+  }
+  ASSERT_TRUE(reader->Commit().ok());
+
+  auto fresh = mgr_->Begin();
+  ExpectSameRows(IdAndValue(), fresh.get(), &rows);
+  EXPECT_EQ(rows.rows[20][1].AsInt(), 1020);
+  EXPECT_EQ(rows.rows[22][1].AsInt(), 1022);
+  ASSERT_TRUE(fresh->Commit().ok());
+}
+
+TEST_F(PipelinedScanTest, FullWordsQueueEveryMatch) {
+  // Three fully occupied words (64 matches each) and a partial one.
+  std::vector<RecordId> ids = CreateItems(200);
+  ASSERT_EQ(ids.back(), 199u) << "items fill the first words densely";
+  auto tx = mgr_->Begin();
+  QueryResult rows;
+  ExpectSameRows(IdAndValue(), tx.get(), &rows);
+  ASSERT_EQ(rows.rows.size(), 200u);
+  for (size_t i = 0; i < rows.rows.size(); ++i) {
+    EXPECT_EQ(rows.rows[i][1].AsInt(), static_cast<int64_t>(i));
+  }
+  ASSERT_TRUE(tx->Commit().ok());
+}
+
+TEST_F(PipelinedScanTest, LimitSatisfiedByQueuedEntryStopsTheRun) {
+  CreateItems(5000);
+  ASSERT_GE(store_->nodes().NumSlots(), 2 * kMorselSize);
+  Plan plan = PlanBuilder()
+                  .NodeScan(item_)
+                  .FilterProperty(0, v_, CmpOp::kGe,
+                                  Expr::Literal(Value::Int(0)))
+                  .Limit(3)
+                  .Project({Expr::Property(0, v_)})
+                  .Build();
+  auto tx = mgr_->Begin();
+  QueryResult rows;
+  ExpectSameRows(plan, tx.get(), &rows);
+  ASSERT_EQ(rows.rows.size(), 3u);
+  EXPECT_EQ(rows.rows[2][0].AsInt(), 2);
+  ExecStats stats;
+  ASSERT_TRUE(
+      engine_->Execute(plan, tx.get(), {}, ExecutionMode::kJit, &stats).ok());
+  EXPECT_EQ(stats.jit_morsels, 1u) << "the stop ends the run in morsel 0";
+  ASSERT_TRUE(tx->Commit().ok());
+}
+
+TEST_F(PipelinedScanTest, ConcurrentWriterKeepsCompiledScansEqual) {
+  // A writer updates properties of matched nodes and links them while
+  // readers scan; within one snapshot, compiled and interpreted runs must
+  // return the same rows.
+  constexpr int kItems = 192;
+  std::vector<RecordId> ids = CreateItems(kItems);
+  Plan values = IdAndValue();
+  Plan links = PlanBuilder()
+                   .NodeScan(item_)
+                   .Expand(0, query::Direction::kOut, edge_)
+                   .Project({Expr::RecordId(0), Expr::Property(0, v_),
+                             Expr::RecordId(2)})
+                   .Build();
+  std::atomic<bool> done{false};
+  std::atomic<int> commits{0};
+  std::thread writer([&] {
+    uint64_t x = 12345;
+    for (int i = 0; !done.load(std::memory_order_acquire); ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      RecordId a = ids[(x >> 33) % kItems];
+      RecordId b = ids[(x >> 13) % kItems];
+      auto tx = mgr_->Begin();
+      Status s = tx->SetNodeProperty(a, v_, PVal::Int(kItems + i));
+      if (s.ok() && i % 4 == 0) {
+        s = tx->CreateRelationship(a, b, edge_, {}).status();
+      }
+      if (s.ok() && tx->Commit().ok()) {
+        commits.fetch_add(1, std::memory_order_relaxed);
+      } else if (!s.ok()) {
+        tx->Abort();
+      }
+    }
+  });
+  int compared = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (const Plan* plan : {&values, &links}) {
+      auto tx = mgr_->Begin();
+      auto aot = engine_->Execute(*plan, tx.get(), {},
+                                  ExecutionMode::kInterpret);
+      auto jit = engine_->Execute(*plan, tx.get(), {}, ExecutionMode::kJit);
+      // A reader meeting a writer's lock aborts (MVTO); nothing to compare.
+      if (aot.ok() && jit.ok()) {
+        EXPECT_EQ(Fingerprint(*jit), Fingerprint(*aot));
+        ++compared;
+      }
+      tx->Abort();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  writer.join();
+  EXPECT_GT(compared, 0);
+  EXPECT_GT(commits.load(), 0);
 }
 
 }  // namespace
