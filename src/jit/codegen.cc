@@ -58,16 +58,11 @@ static_assert(offsetof(tx::CachedNeighbor, neighbor) == 8);
 static_assert(offsetof(tx::CachedNeighbor, rel_label) == 16);
 
 // Pipelined NodeScan geometry. The queue holds one occupancy word's
-// matches. Both phases prefetch in batches (one latency-model clock read
-// per batch instead of per block) and keep one to two batches in flight,
-// so two batches must fit the model's in-flight slots: phase A's batch is
-// `prefetch_distance` node slots, clamped to half of the slots' worth of
-// blocks; phase B's is kScanPropBatch property heads (jit/runtime.h).
+// matches. Phase B prefetches property heads in batches of kScanPropBatch
+// (jit/runtime.h; one latency-model clock read per batch instead of per
+// head) and keeps one to two batches in flight, so two batches must fit the
+// model's in-flight slots.
 constexpr uint64_t kScanQueueCap = 64;
-constexpr uint64_t kNodesPerBlock =
-    pmem::kPmemBlockSize / sizeof(storage::NodeRecord);
-constexpr uint64_t kMaxNodeLookahead =
-    pmem::kPrefetchSlots / 2 * kNodesPerBlock;
 static_assert((kScanPropBatch & (kScanPropBatch - 1)) == 0);
 static_assert(2 * kScanPropBatch <= pmem::kPrefetchSlots);
 
@@ -165,6 +160,8 @@ class CodeGenerator {
   void EmitCancelPoll(const char* tag);
 
   /// What the scan's phase A asks of EmitRecordRef beyond a plain lookup.
+  /// The scan has charged the record's read latency already (once per
+  /// occupancy word), so the lookup does not touch it again.
   struct ScanRef {
     /// The fast path copies the records of this label (any label when
     /// kInvalidCode) into the handle before the revalidation and points the
@@ -245,7 +242,7 @@ class CodeGenerator {
 
   llvm::FunctionCallee h_node_ref_, h_rel_ref_, h_get_prop_, h_param_,
       h_compare_, h_index_matches_, h_index_match_at_, h_emit_, h_touch_,
-      h_scan_prefetch_, h_scan_prefetch_props_, h_expand_cached_,
+      h_scan_touch_, h_scan_prefetch_props_, h_expand_cached_,
       h_should_yield_;
 
   std::map<int, Col> params_;
@@ -287,9 +284,9 @@ void CodeGenerator::DeclareHelpers() {
   h_touch_ = module_->getOrInsertFunction(
       "poseidon_touch",
       llvm::FunctionType::get(void_ty, {ptr, ptr, i64}, false));
-  h_scan_prefetch_ = module_->getOrInsertFunction(
-      "poseidon_scan_prefetch",
-      llvm::FunctionType::get(i64, {ptr, i64, i64}, false));
+  h_scan_touch_ = module_->getOrInsertFunction(
+      "poseidon_scan_touch",
+      llvm::FunctionType::get(void_ty, {ptr, i64, i64}, false));
   h_scan_prefetch_props_ = module_->getOrInsertFunction(
       "poseidon_scan_prefetch_props",
       llvm::FunctionType::get(void_ty, {ptr, ptr, i64, i64}, false));
@@ -436,7 +433,7 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
       b().CreateAdd(C64(header_bytes),
                     b().CreateMul(slotno, C64(rec_size))),
       "recptr");
-  EmitTouch(rec, rec_size);
+  if (scan == nullptr) EmitTouch(rec, rec_size);
   auto* txn = LoadField64Atomic(rec, storage::kOffsetOfTxnId);
   auto* bts = LoadField64(rec, storage::kOffsetOfBts);
   auto* ets = LoadField64(rec, storage::kOffsetOfEts);
@@ -1052,8 +1049,10 @@ Status CodeGenerator::EmitPipeline(size_t i, llvm::BasicBlock* cont) {
 //    rts bump, label test) and appends each visible match to a per-word
 //    queue of JitHandles. The fast path copies the validated record into
 //    its queue entry, so nothing after phase A reads the live PMem record.
-//    Node records are prefetched one to two `prefetch_distance` windows
-//    ahead, a window per helper call.
+//    The blocks holding the word's occupied records are charged by one
+//    helper call before phase A reads them, and are not prefetched: the
+//    node stream stays bound by modeled media time rather than by the
+//    latency model's per-block bookkeeping (EXPERIMENTS.md E7b).
 //  * Phase B runs the downstream pipeline, emitted once, over the queue in
 //    slot order, prefetching property-chain heads one to two batches of
 //    kScanPropBatch entries ahead, so the dependent property read overlaps
@@ -1070,7 +1069,6 @@ Status CodeGenerator::EmitNodeScanSource() {
   auto* bits_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.bits");
   auto* qn_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.qn");
   auto* qi_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.qi");
-  auto* pf_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.pf");
   auto* queue_alloca = eb.CreateAlloca(
       llvm::ArrayType::get(eb.getInt8Ty(), kScanQueueCap * sizeof(JitHandle)),
       nullptr, "scan.queue");
@@ -1078,9 +1076,8 @@ Status CodeGenerator::EmitNodeScanSource() {
   auto* queue = b().CreateBitCast(queue_alloca, PtrTy());
   // Queue entries resolve into snapshot storage slot `slot_idx`.
   const uint32_t slot_idx = num_handle_slots_++;
-  const uint64_t distance =
-      std::min<uint64_t>(scan_.prefetch_distance, kMaxNodeLookahead);
-  const bool prefetch_props = distance != 0 && ReadsScannedProperty(ops_);
+  const bool prefetch_props =
+      scan_.prefetch_distance != 0 && ReadsScannedProperty(ops_);
   auto entry_at = [&](llvm::Value* i) {
     return b().CreateGEP(I8(), queue, b().CreateMul(i, C64(sizeof(JitHandle))),
                          "scan.entry");
@@ -1099,11 +1096,12 @@ Status CodeGenerator::EmitNodeScanSource() {
   b().CreateStore(w_begin, w_addr);
   b().CreateStore(C64(0), bits_addr);
   b().CreateStore(C64(0), qn_addr);
-  b().CreateStore(C64(0), pf_addr);
 
   auto* whead = NewBlock("scan.whead");
   auto* wbody = NewBlock("scan.wbody");
   auto* wfresh = NewBlock("scan.wfresh");
+  auto* wcharge = NewBlock("scan.wcharge");
+  auto* wtouch = NewBlock("scan.wtouch");
   auto* wlatch = NewBlock("scan.wlatch");
   auto* ahead = NewBlock("scan.ahead");
   auto* abody = NewBlock("scan.abody");
@@ -1165,7 +1163,14 @@ Status CodeGenerator::EmitNodeScanSource() {
       b().CreateSub(b().CreateShl(C64(1), avail), C64(1)), C64(~0ull));
   auto* bits0 = b().CreateAnd(word, b().CreateAnd(lo_mask, hi_mask), "bits");
   b().CreateStore(bits0, bits_addr);
-  b().CreateCondBr(b().CreateICmpEQ(bits0, C64(0)), wlatch, ahead);
+  b().CreateCondBr(b().CreateICmpEQ(bits0, C64(0)), wlatch, wcharge);
+
+  // wcharge: the read latency of the word's occupied record blocks.
+  b().SetInsertPoint(wcharge);
+  b().CreateCondBr(hdr_has_latency_, wtouch, ahead);
+  b().SetInsertPoint(wtouch);
+  b().CreateCall(h_scan_touch_, {arg_state_, w, bits0});
+  b().CreateBr(ahead);
 
   // Phase A: resolve the next occupied slot into the queue's tail entry.
   b().SetInsertPoint(ahead);
@@ -1177,25 +1182,6 @@ Status CodeGenerator::EmitNodeScanSource() {
                                  {bits, b().getInt1(true)});
   auto* id = b().CreateOr(word_base, tz, "id");
   b().CreateStore(b().CreateAnd(bits, b().CreateSub(bits, C64(1))), bits_addr);
-  if (distance != 0) {
-    // Once fewer than `distance` slots ahead are in flight, prefetch up to
-    // 2 * distance slots ahead (the word's first record starts the ramp).
-    auto* pf = b().CreateLoad(I64(), pf_addr, "pf");
-    auto* pf_bb = NewBlock("scan.pfrec");
-    auto* pf_cont = NewBlock("scan.pfrec.cont");
-    b().CreateCondBr(
-        b().CreateAnd(hdr_has_latency_,
-                      b().CreateICmpUGE(b().CreateAdd(id, C64(distance)), pf)),
-        pf_bb, pf_cont);
-    b().SetInsertPoint(pf_bb);
-    auto* from = b().CreateSelect(b().CreateICmpUGT(pf, id), pf, id);
-    b().CreateStore(
-        b().CreateCall(h_scan_prefetch_,
-                       {arg_state_, from, b().CreateAdd(id, C64(2 * distance))}),
-        pf_addr);
-    b().CreateBr(pf_cont);
-    b().SetInsertPoint(pf_cont);
-  }
   auto* qn = b().CreateLoad(I64(), qn_addr, "qn");
   auto* tail = entry_at(qn);
   llvm::Value* via_helper = nullptr;
@@ -1252,11 +1238,9 @@ Status CodeGenerator::EmitNodeScanSource() {
   b().CreateBr(bhead);
 
   // Queue drained: move to the next word, or back to this one after a
-  // flush. The node lookahead restarts from scratch, as phase B's property
-  // prefetches may have evicted its blocks.
+  // flush.
   b().SetInsertPoint(bdone);
   b().CreateStore(C64(0), qn_addr);
-  b().CreateStore(C64(0), pf_addr);
   b().CreateCondBr(
       b().CreateICmpEQ(b().CreateLoad(I64(), bits_addr), C64(0)), wlatch,
       whead);

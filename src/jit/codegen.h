@@ -53,10 +53,11 @@ struct CodegenResult {
 /// node-scan source iterates occupancy bitmap words (whole-word skip test,
 /// cttz bit extraction) in two phases: it resolves a word's occupied slots
 /// into a queue of handles holding DRAM record copies, then runs the
-/// downstream pipeline over the queue. `scan.prefetch_distance` > 0 adds
-/// software prefetches of node records (one to two distances ahead, clamped
-/// to the latency model's in-flight slots) and of the queued entries'
-/// property-chain heads; it is part of the compiled-code cache key.
+/// downstream pipeline over the queue. It charges the read latency of a
+/// word's node records in one helper call, without prefetching them;
+/// `scan.prefetch_distance` > 0 adds software prefetches of the queued
+/// entries' property-chain heads, and whether it is nonzero is part of the
+/// compiled-code cache key.
 ///
 /// `adj_cache` bakes the DRAM adjacency-cache fast path into every kExpand:
 /// a per-node poseidon_expand_cached probe plus a DRAM array loop, with the

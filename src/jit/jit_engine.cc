@@ -60,7 +60,7 @@ llvm::Error RegisterRuntimeSymbols(llvm::orc::LLJIT* jit,
   add("poseidon_index_match_at", &poseidon_index_match_at);
   add("poseidon_emit", &poseidon_emit);
   add("poseidon_touch", &poseidon_touch);
-  add("poseidon_scan_prefetch", &poseidon_scan_prefetch);
+  add("poseidon_scan_touch", &poseidon_scan_touch);
   add("poseidon_scan_prefetch_props", &poseidon_scan_prefetch_props);
   add("poseidon_expand_cached", &poseidon_expand_cached);
   add("poseidon_should_yield", &poseidon_should_yield);
@@ -133,9 +133,9 @@ uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
       HashCombine(HashString(plan.Signature()), options.optimize ? 1 : 2);
   // Code persisted by another generator version must never be linked.
   id = HashCombine(id, codegen_version);
-  // The prefetch distance is baked into the scan loop, so it participates
-  // in the cache key; the batch size is an interpreter-only knob.
-  id = HashCombine(id, options.scan.prefetch_distance);
+  // The scan loop bakes in whether it prefetches, not how far: the
+  // distance and the batch size only steer the interpreter.
+  id = HashCombine(id, options.scan.prefetch_distance != 0 ? 1 : 2);
   // So is the adjacency-cache fast path (dual Expand loop vs chain walk).
   id = HashCombine(id, options.adj_cache ? 1 : 2);
   return id;

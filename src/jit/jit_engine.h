@@ -49,7 +49,7 @@ struct CompiledQuery {
 /// this whenever the emitted code changes shape or the JitHandle /
 /// JitStateHeader layout it reads changes: entries cached by another
 /// version then miss and are compiled afresh instead of being linked.
-inline constexpr uint32_t kCodegenVersion = 2;
+inline constexpr uint32_t kCodegenVersion = 3;
 
 struct JitOptions {
   /// Run the optimization pass cascade + O3 (paper §6.2). Disable for the
@@ -57,9 +57,10 @@ struct JitOptions {
   bool optimize = true;
   /// Consult/fill the persistent code cache.
   bool use_persistent_cache = true;
-  /// Scan knobs: the generated scan loop bakes in `prefetch_distance`,
-  /// which is therefore part of the cache key (`batch_size` only steers
-  /// the interpreter's gather loop and is not).
+  /// Scan knobs: the generated scan loop bakes in whether
+  /// `prefetch_distance` is nonzero, which is therefore part of the cache
+  /// key (the distance itself and `batch_size` only steer the interpreter's
+  /// kernels and are not).
   storage::ScanOptions scan;
   /// Bake the DRAM adjacency-cache probe + array loop into kExpand
   /// (poseidon_expand_cached fast path with chain-walk fallback). Part of

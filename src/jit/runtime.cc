@@ -1,6 +1,7 @@
 #include "jit/runtime.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace poseidon::jit {
@@ -209,31 +210,35 @@ void poseidon_touch(void* state, const void* ptr, uint64_t len) {
   State(state)->ctx.store->pool()->TouchRead(ptr, len);
 }
 
-uint64_t poseidon_scan_prefetch(void* state, uint64_t from, uint64_t to) {
+void poseidon_scan_touch(void* state, uint64_t w, uint64_t bits) {
   using storage::NodeRecord;
   using storage::NodeTable;
-  constexpr uint64_t kPerChunk = NodeTable::kBitmapWords * 64;
   constexpr uint64_t kBlock = pmem::kPmemBlockSize;
   auto* s = State(state);
-  const JitStateHeader& h = s->header;
-  const uint64_t end = std::min(to, h.node_num_chunks * kPerChunk);
-  while (from < end) {
-    const uint64_t chunk = from / kPerChunk;
-    const uint64_t first = from % kPerChunk;
-    // Extend the range to the end of the block holding its last slot, so
-    // the next call starts on a fresh block.
-    uint64_t last = std::min(end - chunk * kPerChunk, kPerChunk);
-    const uint64_t end_byte =
-        (NodeTable::kHeaderBytes + last * sizeof(NodeRecord) + kBlock - 1) /
-        kBlock * kBlock;
-    last = std::min((end_byte - NodeTable::kHeaderBytes) / sizeof(NodeRecord),
-                    kPerChunk);
-    const char* slots = h.node_chunks[chunk] + NodeTable::kHeaderBytes;
-    s->ctx.store->pool()->TouchPrefetch(slots + first * sizeof(NodeRecord),
-                                        (last - first) * sizeof(NodeRecord));
-    from = chunk * kPerChunk + last;
+  const char* slots = s->header.node_chunks[w / NodeTable::kBitmapWords] +
+                      NodeTable::kHeaderBytes +
+                      w % NodeTable::kBitmapWords * 64 * sizeof(NodeRecord);
+  // One model read per run of blocks that hold occupied slots: a dense
+  // word costs one clock read and one spin, and a block without occupied
+  // slots is never charged.
+  const auto block = [](const char* p) {
+    return reinterpret_cast<uintptr_t>(p) / kBlock;
+  };
+  const char* lo = nullptr;
+  const char* hi = nullptr;
+  while (bits != 0) {
+    const int first = std::countr_zero(bits);
+    const int run = std::countr_one(bits >> first);
+    const char* a = slots + first * sizeof(NodeRecord);
+    if (lo != nullptr && block(a) > block(hi - 1) + 1) {
+      s->ctx.store->pool()->TouchRead(lo, hi - lo);
+      lo = nullptr;
+    }
+    if (lo == nullptr) lo = a;
+    hi = a + run * sizeof(NodeRecord);
+    bits = first + run >= 64 ? 0 : bits & (~0ull << (first + run));
   }
-  return std::max(from, to);
+  if (lo != nullptr) s->ctx.store->pool()->TouchRead(lo, hi - lo);
 }
 
 void poseidon_scan_prefetch_props(void* state, const void* queue,

@@ -146,13 +146,12 @@ uint64_t poseidon_index_match_at(void* state, uint32_t thread, uint64_t i);
 /// code calls this only when JitStateHeader::read_latency is nonzero.
 void poseidon_touch(void* state, const void* ptr, uint64_t len);
 
-/// Node-scan record prefetch: starts the modeled fills of the node-record
-/// 256 B blocks covering slots [from, to), split at chunk boundaries through
-/// the chunk mirror and clamped to the table. Returns the first slot past
-/// the last block covered (>= to), so the generated loop calls again only
-/// when its lookahead crosses into an unfetched block. Called only when
-/// JitStateHeader::read_latency is nonzero.
-uint64_t poseidon_scan_prefetch(void* state, uint64_t from, uint64_t to);
+/// Node-scan read charge for occupancy word `w` (64 slots) of the node
+/// table: charges the read latency of every 256 B block holding a slot set
+/// in `bits`, in one model read per run of such blocks, before the scan
+/// reads those records. Called only when JitStateHeader::read_latency is
+/// nonzero.
+void poseidon_scan_touch(void* state, uint64_t w, uint64_t bits);
 
 /// Property-head prefetch for the NodeScan queue (`queue`, a JitHandle
 /// array of `queued` entries), called when the consumer reaches entry `at`,

@@ -18,11 +18,10 @@ struct ScanOptions {
   uint32_t batch_size = 256;
   /// How many record slots ahead of the consumer a prefetch is issued
   /// (0 = no prefetching). The interpreter prefetches one record per
-  /// consumed record; compiled scans prefetch node blocks one to two
-  /// distances ahead, one window per call, clamped so two windows fit the
-  /// latency model's in-flight slots (pmem::kPrefetchSlots). 16 won the
-  /// {4, 8, 16, 32} sweep of EXPERIMENTS.md E7b.
-  uint32_t prefetch_distance = 16;
+  /// consumed record. Compiled scans do not prefetch node records; any
+  /// nonzero value makes them prefetch the property-chain heads of their
+  /// matches a fixed number of entries ahead (EXPERIMENTS.md E7b).
+  uint32_t prefetch_distance = 4;
 
   /// Environment overrides for sweeps without recompiling:
   ///   POSEIDON_SCAN_BATCH_SIZE, POSEIDON_SCAN_PREFETCH_DIST

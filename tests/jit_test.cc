@@ -249,6 +249,15 @@ TEST_F(JitTest, CacheKeyIsVersionedAndIgnoresBatchSize) {
   EXPECT_EQ(JitEngine::QueryIdFor(p, options),
             JitEngine::QueryIdFor(p, other_batch))
       << "codegen never reads batch_size";
+  JitOptions other_distance = options;
+  other_distance.scan.prefetch_distance = options.scan.prefetch_distance + 8;
+  EXPECT_EQ(JitEngine::QueryIdFor(p, options),
+            JitEngine::QueryIdFor(p, other_distance))
+      << "codegen reads only whether prefetch_distance is nonzero";
+  JitOptions no_prefetch = options;
+  no_prefetch.scan.prefetch_distance = 0;
+  EXPECT_NE(JitEngine::QueryIdFor(p, options),
+            JitEngine::QueryIdFor(p, no_prefetch));
   const uint64_t id = JitEngine::QueryIdFor(p, options);
   const uint64_t old_id =
       JitEngine::QueryIdFor(p, options, kCodegenVersion - 1);
