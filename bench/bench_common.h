@@ -140,7 +140,8 @@ class BenchJson {
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"unit\": \"%s\",\n"
                  "  \"results\": {\n", bench_.c_str(), unit_.c_str());
     for (size_t i = 0; i < entries_.size(); ++i) {
-      std::fprintf(f, "    \"%s\": %.1f%s\n", entries_[i].first.c_str(),
+      // Round-trip precision: a sub-0.05 value must not print as 0.0.
+      std::fprintf(f, "    \"%s\": %.17g%s\n", entries_[i].first.c_str(),
                    entries_[i].second,
                    i + 1 < entries_.size() ? "," : "");
     }

@@ -1336,7 +1336,7 @@ Result<CodegenResult> CodeGenerator::Generate() {
   builder_ = std::make_unique<llvm::IRBuilder<>>(*context_);
   DeclareHelpers();
 
-  for (const Op* op = plan_.root.get(); op != nullptr; op = op->input.get()) {
+  for (const Op* op = plan_.root(); op != nullptr; op = op->input.get()) {
     ops_.push_back(op);
   }
   std::reverse(ops_.begin(), ops_.end());
@@ -1448,7 +1448,7 @@ Result<CodegenResult> CodeGenerator::Generate() {
     collect(op->input.get());
     collect(op->right.get());
   };
-  collect(plan_.root.get());
+  collect(plan_.root());
   for (auto& [idx, col] : params_) {
     auto* kind = b().CreateCall(
         h_param_,
@@ -1501,7 +1501,7 @@ Result<CodegenResult> GenerateQueryIR(const query::Plan& plan,
                                       const std::string& function_name,
                                       const storage::ScanOptions& scan,
                                       bool adj_cache) {
-  if (plan.root == nullptr) {
+  if (plan.root() == nullptr) {
     return Status::InvalidArgument("empty plan");
   }
   CodeGenerator gen(plan, function_name, scan, adj_cache);

@@ -43,8 +43,8 @@ struct CodegenResult {
   /// Interpreter operator index where the AOT tail starts (-1 = the whole
   /// plan was inlined and tuples go straight to the collector).
   int tail_index = -1;
-  /// Number of JitHandle stack slots the function uses (the runtime sizes
-  /// its per-thread snapshot storage from this).
+  /// Number of JitHandle stack slots the function uses (the query engine
+  /// runs plans needing more than it supports interpreted).
   uint32_t num_handle_slots = 0;
 };
 

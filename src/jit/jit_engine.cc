@@ -129,8 +129,7 @@ Result<std::unique_ptr<JitEngine>> JitEngine::Create(QueryCache* cache) {
 uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
                                const JitOptions& options,
                                uint32_t codegen_version) {
-  uint64_t id =
-      HashCombine(HashString(plan.Signature()), options.optimize ? 1 : 2);
+  uint64_t id = HashCombine(plan.id(), options.optimize ? 1 : 2);
   // Code persisted by another generator version must never be linked.
   id = HashCombine(id, codegen_version);
   // The scan loop bakes in whether it prefetches, not how far: the
@@ -141,8 +140,27 @@ uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
   return id;
 }
 
+bool JitEngine::MemoLookup(uint64_t query_id, CompiledQuery* out) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  auto it = memo_.find(query_id);
+  if (it == memo_.end()) return false;
+  *out = it->second;
+  out->from_memo = true;
+  out->codegen_ms = out->optimize_ms = out->compile_ms = 0;
+  return true;
+}
+
+void JitEngine::MemoInsert(const CompiledQuery& compiled) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_[compiled.query_id] = compiled;
+}
+
 Result<CompiledQuery> JitEngine::Compile(const query::Plan& plan,
                                          const JitOptions& options) {
+  // Every kJit execution calls this: a hit returns before a PendingCompile
+  // is built.
+  CompiledQuery hit;
+  if (MemoLookup(QueryIdFor(plan, options), &hit)) return hit;
   POSEIDON_ASSIGN_OR_RETURN(PendingCompile pending,
                             BeginCompile(plan, options));
   return FinishCompile(std::move(pending));
@@ -150,26 +168,42 @@ Result<CompiledQuery> JitEngine::Compile(const query::Plan& plan,
 
 Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
     const query::Plan& plan, const JitOptions& options) {
-  // Injectable compile failure (jit.compile): lets tests and benches prove
-  // the query layer degrades to interpretation instead of failing the query
-  // when codegen breaks (OOM in ORC, unsupported plan shape, ...).
-  if (util::FaultRegistry::Instance().ShouldFail("jit.compile")) {
-    return Status::Internal("JIT compilation failed: injected fault "
-                            "(jit.compile)");
-  }
-  uint64_t query_id = QueryIdFor(plan, options);
   PendingCompile pending;
   pending.options = options;
+  const uint64_t query_id = QueryIdFor(plan, options);
   pending.result.query_id = query_id;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = memo_.find(query_id); it != memo_.end()) {
-    pending.result = it->second;
-    pending.result.from_memo = true;
-    pending.result.codegen_ms = pending.result.optimize_ms =
-        pending.result.compile_ms = 0;
+  if (MemoLookup(query_id, &pending.result)) {
     pending.done = true;
     return pending;
+  }
+
+  std::lock_guard<std::mutex> lock(compile_mu_);
+  // A compile of the same query may have landed while this one waited.
+  if (MemoLookup(query_id, &pending.result)) {
+    pending.done = true;
+    return pending;
+  }
+
+  // --- Persistent cache probe ------------------------------------------
+  std::vector<char> cached;  // header + object bytes of a persisted compile
+  BlobHeader header{};
+  if (cache_ != nullptr && options.use_persistent_cache) {
+    auto blob = cache_->Get(query_id);
+    if (blob.ok() && blob->size() > sizeof(BlobHeader)) {
+      std::memcpy(&header, blob->data(), sizeof(header));
+      if (header.magic == kBlobMagic) cached = std::move(*blob);
+    }
+  }
+
+  // Injectable compile failure (jit.compile): lets tests and benches prove
+  // the query layer degrades to interpretation instead of failing the query
+  // when codegen breaks (OOM in ORC, unsupported plan shape, ...). Only a
+  // query about to be generated evaluates it, before anything is created
+  // for it: memo and persistent-cache hits never do.
+  if (cached.empty() &&
+      util::FaultRegistry::Instance().ShouldFail("jit.compile")) {
+    return Status::Internal("JIT compilation failed: injected fault "
+                            "(jit.compile)");
   }
 
   char name_buf[32];
@@ -193,36 +227,27 @@ Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
   }
   pending.dylib = &jd;
 
-  // --- Persistent cache probe ------------------------------------------
-  if (cache_ != nullptr && options.use_persistent_cache) {
-    auto blob = cache_->Get(query_id);
-    if (blob.ok() && blob->size() > sizeof(BlobHeader)) {
-      BlobHeader header;
-      std::memcpy(&header, blob->data(), sizeof(header));
-      if (header.magic == kBlobMagic) {
-        auto buffer = llvm::MemoryBuffer::getMemBufferCopy(
-            llvm::StringRef(blob->data() + sizeof(BlobHeader),
-                            blob->size() - sizeof(BlobHeader)),
-            pending.fn_name);
-        if (auto err = jit_->addObjectFile(jd, std::move(buffer))) {
-          return Status::Internal("linking cached object failed: " +
-                                  LlvmErrToString(std::move(err)));
-        }
-        auto sym = jit_->lookup(jd, pending.fn_name);
-        if (!sym) {
-          return Status::Internal("cached symbol lookup failed: " +
-                                  LlvmErrToString(sym.takeError()));
-        }
-        pending.result.fn =
-            reinterpret_cast<CompiledQueryFn>(sym->getAddress());
-        pending.result.tail_index = header.tail_index;
-        pending.result.num_handle_slots = header.num_handle_slots;
-        pending.result.from_persistent_cache = true;
-        memo_[query_id] = pending.result;
-        pending.done = true;
-        return pending;
-      }
+  if (!cached.empty()) {
+    auto buffer = llvm::MemoryBuffer::getMemBufferCopy(
+        llvm::StringRef(cached.data() + sizeof(BlobHeader),
+                        cached.size() - sizeof(BlobHeader)),
+        pending.fn_name);
+    if (auto err = jit_->addObjectFile(jd, std::move(buffer))) {
+      return Status::Internal("linking cached object failed: " +
+                              LlvmErrToString(std::move(err)));
     }
+    auto sym = jit_->lookup(jd, pending.fn_name);
+    if (!sym) {
+      return Status::Internal("cached symbol lookup failed: " +
+                              LlvmErrToString(sym.takeError()));
+    }
+    pending.result.fn = reinterpret_cast<CompiledQueryFn>(sym->getAddress());
+    pending.result.tail_index = header.tail_index;
+    pending.result.num_handle_slots = header.num_handle_slots;
+    pending.result.from_persistent_cache = true;
+    MemoInsert(pending.result);
+    pending.done = true;
+    return pending;
   }
 
   // --- IR generation (the only phase that reads the plan) -----------------
@@ -244,13 +269,9 @@ Result<CompiledQuery> JitEngine::FinishCompile(PendingCompile pending) {
   // compile racing a foreground Compile corrupts the heap or fails with
   // "symbol already defined". One compile at a time; a racer that lost
   // reuses the winner's memoized code instead of re-linking.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = memo_.find(pending.result.query_id); it != memo_.end()) {
-    CompiledQuery hit = it->second;
-    hit.from_memo = true;
-    hit.codegen_ms = hit.optimize_ms = hit.compile_ms = 0;
-    return hit;
-  }
+  std::lock_guard<std::mutex> lock(compile_mu_);
+  CompiledQuery hit;
+  if (MemoLookup(pending.result.query_id, &hit)) return hit;
   CompiledQuery result = pending.result;
 
   // --- Optimization ---------------------------------------------------------
@@ -290,7 +311,7 @@ Result<CompiledQuery> JitEngine::FinishCompile(PendingCompile pending) {
                             LlvmErrToString(sym.takeError()));
   }
   result.fn = reinterpret_cast<CompiledQueryFn>(sym->getAddress());
-  memo_[result.query_id] = result;
+  MemoInsert(result);
   return result;
 }
 

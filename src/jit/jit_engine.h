@@ -77,7 +77,9 @@ class JitEngine {
   JitEngine(const JitEngine&) = delete;
   JitEngine& operator=(const JitEngine&) = delete;
 
-  /// Compiles `plan` (or fetches it from the memo / persistent cache).
+  /// Compiles `plan` (or fetches it from the memo / persistent cache). A
+  /// memo hit costs the id combination and one short lock: it never waits
+  /// for a compile in flight.
   Result<CompiledQuery> Compile(const query::Plan& plan,
                                 const JitOptions& options = {});
 
@@ -86,6 +88,8 @@ class JitEngine {
   /// synchronously — afterwards the plan may be destroyed — and
   /// FinishCompile runs the expensive optimization/compilation/linking on
   /// the self-contained pending state (typically on a background thread).
+  /// The `jit.compile` fault site fires only where code is about to be
+  /// generated, never on a memo or persistent-cache hit.
   struct PendingCompile {
     bool done = false;         ///< memo/cache hit: `result` is final
     CompiledQuery result;
@@ -99,7 +103,9 @@ class JitEngine {
   Result<CompiledQuery> FinishCompile(PendingCompile pending);
 
   /// Stable identifier of (plan, options, generator version) — the
-  /// compiled-code cache key.
+  /// compiled-code cache key. Combines the id the plan computed when it was
+  /// built with the options that shape the code, so it costs a few hash
+  /// rounds per call.
   static uint64_t QueryIdFor(const query::Plan& plan,
                              const JitOptions& options,
                              uint32_t codegen_version = kCodegenVersion);
@@ -109,12 +115,23 @@ class JitEngine {
  private:
   JitEngine() = default;
 
+  /// Copies the memoized code for `query_id` into `*out` as a memo hit
+  /// (from_memo set, compile times zeroed); false when there is none.
+  bool MemoLookup(uint64_t query_id, CompiledQuery* out);
+  void MemoInsert(const CompiledQuery& compiled);
+
   std::unique_ptr<llvm::orc::LLJIT> jit_;
   std::unique_ptr<llvm::TargetMachine> tm_;
   QueryCache* cache_ = nullptr;
-  std::mutex mu_;
+  /// Serializes everything that touches LLVM or the ORC session (JITDylib
+  /// creation, persistent-cache linking, IR generation, optimization,
+  /// codegen, linking); held for a whole compile.
+  std::mutex compile_mu_;
+  /// Guards memo_ only, so a memo hit never waits for a compile. Taken
+  /// inside compile_mu_ when both are held.
+  std::mutex memo_mu_;
   std::unordered_map<uint64_t, CompiledQuery> memo_;
-  uint64_t dylib_counter_ = 0;
+  uint64_t dylib_counter_ = 0;  ///< guarded by compile_mu_
 };
 
 }  // namespace poseidon::jit

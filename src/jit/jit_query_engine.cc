@@ -10,12 +10,14 @@ using query::QueryResult;
 
 namespace {
 
+/// Handle slots a compiled query may use; code needing more runs
+/// interpreted (jit_fallback).
 constexpr uint32_t kMaxHandleSlots = 64;
 
 /// Builds the shared runtime state for one execution: handle storage for
-/// the calling thread (slot 0) plus one slot per pool worker.
-std::unique_ptr<JitRuntimeState> MakeState(const query::Plan& plan,
-                                           query::ExecContext ctx,
+/// the calling thread (slot 0) plus one slot per pool worker. The storage
+/// starts empty and the runtime helpers grow it as they fill handles.
+std::unique_ptr<JitRuntimeState> MakeState(query::ExecContext ctx,
                                            query::ResultCollector* collector,
                                            PipelineExecutor* exec,
                                            size_t num_workers) {
@@ -39,14 +41,9 @@ std::unique_ptr<JitRuntimeState> MakeState(const query::Plan& plan,
   state->ctx = ctx;
   state->collector = collector;
   state->executor = exec;
-  state->plan = &plan;
-  state->ops = exec->ops();
   state->threads.reserve(num_workers + 1);
   for (size_t t = 0; t < num_workers + 1; ++t) {
-    auto slots = std::make_unique<JitRuntimeState::ThreadSlots>();
-    slots->snapshots.resize(kMaxHandleSlots);
-    slots->adj_holds.resize(kMaxHandleSlots);
-    state->threads.push_back(std::move(slots));
+    state->threads.push_back(std::make_unique<JitRuntimeState::ThreadSlots>());
   }
   return state;
 }
@@ -205,14 +202,10 @@ Result<QueryResult> JitQueryEngine::Execute(
   jit_options.scan = scan_options_;
   jit_options.adj_cache = adj_cache_enabled_;
 
-  // Attribute adjacency-cache traffic to this execution as a before/after
-  // delta on the manager-wide counters (racy under concurrent queries, but
-  // EXPLAIN/bench use it single-query).
-  const tx::AdjacencyCacheStats adj_before =
-      tx->manager()->adjacency_cache().stats();
-  // rts-coalescing tallies live on the transaction itself (plain fields,
-  // flushed to the manager at Finish), so this attribution is exact even
-  // under concurrent queries.
+  // rts-coalescing and adjacency-cache tallies live on the transaction
+  // itself, so this attribution is exact even under concurrent queries.
+  const uint64_t adj_hits_before = tx->adj_cache_hits();
+  const uint64_t adj_misses_before = tx->adj_cache_misses();
   const uint64_t rts_skipped_before = tx->rts_skipped();
   const uint64_t rts_deferred_before = tx->rts_deferred();
 
@@ -253,7 +246,7 @@ Result<QueryResult> JitQueryEngine::Execute(
   std::unique_ptr<JitRuntimeState> state;
   if (mode == ExecutionMode::kAdaptive ||
       task_fn->load(std::memory_order_relaxed) != nullptr) {
-    state = MakeState(plan, ctx, &collector, &exec,
+    state = MakeState(ctx, &collector, &exec,
                       parallel ? pool_.num_threads() : 0);
   }
 
@@ -265,10 +258,8 @@ Result<QueryResult> JitQueryEngine::Execute(
     return run_status;
   }
 
-  const tx::AdjacencyCacheStats adj_after =
-      tx->manager()->adjacency_cache().stats();
-  stats->adj_cache_hits = adj_after.hits - adj_before.hits;
-  stats->adj_cache_misses = adj_after.misses - adj_before.misses;
+  stats->adj_cache_hits = tx->adj_cache_hits() - adj_hits_before;
+  stats->adj_cache_misses = tx->adj_cache_misses() - adj_misses_before;
   stats->rts_skipped = tx->rts_skipped() - rts_skipped_before;
   stats->rts_deferred = tx->rts_deferred() - rts_deferred_before;
 

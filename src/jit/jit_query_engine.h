@@ -66,6 +66,7 @@ struct ExecStats {
   bool jit_fallback = false;  ///< compile failed; query ran interpreted
   /// Adjacency-cache traffic attributed to this execution (hits serve
   /// Expand from DRAM arrays; misses include builds and fallback walks).
+  /// Tallied on the transaction, so exact under concurrent queries.
   uint64_t adj_cache_hits = 0;
   uint64_t adj_cache_misses = 0;
   /// rts-bump coalescing attributed to this execution: CAS-maxes skipped

@@ -31,7 +31,9 @@ void FillHandle(JitRuntimeState* s, uint32_t thread, uint32_t slot,
   h->rec = h->copy;
   if (r.from_snapshot) {
     h->has_snapshot = 1;
-    s->threads[thread]->snapshots[slot] = std::move(r.snapshot);
+    auto& snapshots = s->threads[thread]->snapshots;
+    if (snapshots.size() <= slot) snapshots.resize(slot + 1);
+    snapshots[slot] = std::move(r.snapshot);
   } else {
     h->has_snapshot = 0;
   }
@@ -164,7 +166,7 @@ uint64_t poseidon_index_matches(void* state, uint32_t op_idx,
     }
   }
   slots.shared_matches = nullptr;
-  const query::Op* op = s->ops[op_idx];
+  const query::Op* op = s->executor->ops()[op_idx];
   auto& buffer = slots.index_matches;
   buffer.clear();
   if (s->ctx.indexes == nullptr) {

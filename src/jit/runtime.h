@@ -74,13 +74,16 @@ struct JitRuntimeState {
 
   query::ExecContext ctx;
   query::ResultCollector* collector = nullptr;
-  query::PipelineExecutor* executor = nullptr;  ///< tail/breaker delegate
-  const query::Plan* plan = nullptr;
-  std::vector<const query::Op*> ops;  ///< source..sink (interpreter order)
+  /// Tail/breaker delegate; its ops() are the plan's operators in source..
+  /// sink order, which helpers address by operator index.
+  query::PipelineExecutor* executor = nullptr;
 
-  /// Property snapshots per handle slot, per thread. Indexed
-  /// [thread][slot]; sized by Prepare().
+  /// Per-thread handle storage. The helpers that fill a handle slot's entry
+  /// grow these vectors on demand, so an execution pays only for the slots
+  /// its code actually fills.
   struct ThreadSlots {
+    /// Property snapshots of handles resolved off the DRAM version chain,
+    /// indexed by handle slot.
     std::vector<std::vector<storage::Property>> snapshots;
     std::vector<storage::RecordId> index_matches;  ///< index-scan buffer
     /// Adjacency arrays pinned by poseidon_expand_cached, indexed by handle

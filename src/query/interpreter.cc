@@ -46,7 +46,7 @@ struct ScopedSink {
 
 PipelineExecutor::PipelineExecutor(const Plan& plan, ExecContext ctx,
                                    ResultCollector* collector)
-    : root_(plan.root.get()), ctx_(ctx), collector_(collector) {}
+    : root_(plan.root()), ctx_(ctx), collector_(collector) {}
 
 PipelineExecutor::PipelineExecutor(const Op* root, ExecContext ctx,
                                    ResultCollector* collector)

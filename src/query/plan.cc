@@ -1,6 +1,9 @@
 #include "query/plan.h"
 
 #include <functional>
+#include <utility>
+
+#include "util/hash.h"
 
 namespace poseidon::query {
 
@@ -93,13 +96,31 @@ int CountOpsRec(const Op* op) {
   return 1 + CountOpsRec(op->input.get()) + CountOpsRec(op->right.get());
 }
 
+/// The empty plan's Signature() is "".
+uint64_t EmptyPlanId() { return HashString({}); }
+
 }  // namespace
 
-int Plan::CountOps() const { return CountOpsRec(root.get()); }
+Plan::Plan() : id_(EmptyPlanId()) {}
+
+Plan::Plan(std::unique_ptr<const Op> root)
+    : root_(std::move(root)), id_(HashString(Signature())) {}
+
+Plan::Plan(Plan&& other) noexcept
+    : root_(std::move(other.root_)),
+      id_(std::exchange(other.id_, EmptyPlanId())) {}
+
+Plan& Plan::operator=(Plan&& other) noexcept {
+  root_ = std::move(other.root_);
+  id_ = std::exchange(other.id_, EmptyPlanId());
+  return *this;
+}
+
+int Plan::CountOps() const { return CountOpsRec(root_.get()); }
 
 std::string Plan::Signature() const {
   std::string s;
-  AppendOpSignature(root.get(), &s);
+  AppendOpSignature(root_.get(), &s);
   return s;
 }
 
@@ -300,12 +321,12 @@ void PrintOp(const Op* op, const storage::Dictionary* dict,
 std::string Plan::ToString(const storage::Dictionary* dict,
                            const ExplainAnnotation* ann) const {
   std::string out;
-  PrintOp(root.get(), dict, ann, 0, &out);
+  PrintOp(root_.get(), dict, ann, 0, &out);
   return out;
 }
 
 const Op* Plan::Source() const {
-  const Op* op = root.get();
+  const Op* op = root_.get();
   while (op != nullptr && op->input != nullptr) op = op->input.get();
   return op;
 }
@@ -443,7 +464,7 @@ PlanBuilder&& PlanBuilder::HashJoin(Plan build_side, int left_key_col,
                                     int right_key_col) && {
   auto op = std::make_unique<Op>();
   op->kind = OpKind::kHashJoin;
-  op->right = std::move(build_side.root);
+  op->right = std::move(build_side.root_);
   op->left_key_col = left_key_col;
   op->right_key_col = right_key_col;
   return std::move(*this).Push(std::move(op));
@@ -485,10 +506,6 @@ PlanBuilder&& PlanBuilder::SetProperty(int column, storage::DictCode key,
   return std::move(*this).Push(std::move(op));
 }
 
-Plan PlanBuilder::Build() && {
-  Plan p;
-  p.root = std::move(chain_);
-  return p;
-}
+Plan PlanBuilder::Build() && { return Plan(std::move(chain_)); }
 
 }  // namespace poseidon::query

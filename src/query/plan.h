@@ -99,8 +99,8 @@ struct Expr {
 
 struct Op {
   OpKind kind;
-  std::unique_ptr<Op> input;  ///< upstream operator (null for sources)
-  std::unique_ptr<Op> right;  ///< hash-join build side
+  std::unique_ptr<const Op> input;  ///< upstream operator (null for sources)
+  std::unique_ptr<const Op> right;  ///< hash-join build side
 
   // Operator parameters; which fields apply depends on `kind`.
   storage::DictCode label = storage::kInvalidCode;   ///< scan/expand rel label
@@ -169,17 +169,32 @@ struct ExplainAnnotation {
   uint64_t space_denied = 0;
 };
 
-/// A complete query plan. `root` is the sink-most operator.
-struct Plan {
-  std::unique_ptr<Op> root;
+/// A complete query plan, made by PlanBuilder::Build() and immutable from
+/// then on: its operators are reachable only as const, so the id computed
+/// at build time stays the id of the operators that execute. Plans are
+/// shared read-only by concurrent executions.
+class Plan {
+ public:
+  /// The empty plan (no operators).
+  Plan();
+  /// Leaves `other` empty, with the empty plan's id.
+  Plan(Plan&& other) noexcept;
+  Plan& operator=(Plan&& other) noexcept;
+
+  /// The sink-most operator; null for the empty plan.
+  const Op* root() const { return root_.get(); }
+
+  /// HashString(Signature()), computed once when the plan is built: the
+  /// plan's part of the compiled-code cache key (JitEngine::QueryIdFor).
+  uint64_t id() const { return id_; }
 
   /// Number of operators in the chain (tree).
   int CountOps() const;
 
-  /// Structural identifier used as the compiled-code cache key (§6.2
-  /// "unique query identifier that comprises the operators' identifiers").
-  /// Parameters contribute their index, not their value, so one compiled
-  /// query serves all parameter bindings.
+  /// Structural identifier behind id() (§6.2 "unique query identifier that
+  /// comprises the operators' identifiers"). Parameters contribute their
+  /// index, not their value, so one compiled query serves all parameter
+  /// bindings.
   std::string Signature() const;
 
   /// The source operator of the main (left-most) pipeline.
@@ -191,6 +206,13 @@ struct Plan {
   ///   `[parallel=<n threads>, morsel=<size>, rts=...]`.
   std::string ToString(const storage::Dictionary* dict = nullptr,
                        const ExplainAnnotation* ann = nullptr) const;
+
+ private:
+  friend class PlanBuilder;
+  explicit Plan(std::unique_ptr<const Op> root);
+
+  std::unique_ptr<const Op> root_;
+  uint64_t id_;
 };
 
 /// Fluent construction of linear plans (joins attach via HashJoin(build)).
@@ -240,12 +262,13 @@ class PlanBuilder {
   PlanBuilder&& SetProperty(int column, storage::DictCode key, Expr value,
                             bool is_node = true) &&;
 
+  /// Hands the chain to a Plan and computes its id, once.
   Plan Build() &&;
 
  private:
   PlanBuilder&& Push(std::unique_ptr<Op> op) &&;
 
-  std::unique_ptr<Op> chain_;
+  std::unique_ptr<const Op> chain_;
 };
 
 }  // namespace poseidon::query

@@ -334,7 +334,11 @@ std::shared_ptr<const AdjacencyList> Transaction::GetCachedAdjacency(
   // hit here even while property updates restamp the entry forward.
   const Timestamp stamp = n->rec.tx.bts;
   const bool out = dir == AdjDir::kOut;
-  if (auto hit = cache.Lookup(node, dir, stamp)) return hit;
+  if (auto hit = cache.Lookup(node, dir, stamp)) {
+    adj_hits_.fetch_add(1, std::memory_order_relaxed);
+    return hit;
+  }
+  adj_misses_.fetch_add(1, std::memory_order_relaxed);
   // Miss: build from our own walk. Eligible only if every hop also resolves
   // without reaching into the version chain — then the edges we record are
   // the topology at our read timestamp, which lies inside the visible node

@@ -105,6 +105,15 @@ class Transaction {
   uint64_t rts_deferred() const {
     return rts_deferred_.load(std::memory_order_relaxed);
   }
+  /// Adjacency-cache probes of this transaction that hit / missed: exactly
+  /// the events AdjacencyCache::Lookup counts, tallied per transaction for
+  /// exact per-execution attribution under concurrent queries.
+  uint64_t adj_cache_hits() const {
+    return adj_hits_.load(std::memory_order_relaxed);
+  }
+  uint64_t adj_cache_misses() const {
+    return adj_misses_.load(std::memory_order_relaxed);
+  }
 
   /// Cooperative cancellation: executors poll this token at batch
   /// granularity (scan word / morsel / expand hop); GraphDb::Cancel and the
@@ -275,6 +284,10 @@ class Transaction {
   /// path.
   std::atomic<uint64_t> rts_skipped_{0};
   std::atomic<uint64_t> rts_deferred_{0};
+  /// Adjacency-cache probe outcomes, shared by morsel workers like the rts
+  /// tallies; the cache keeps its own manager-wide totals.
+  std::atomic<uint64_t> adj_hits_{0};
+  std::atomic<uint64_t> adj_misses_{0};
   util::CancelToken cancel_;
   AbortCause abort_cause_ = AbortCause::kConflict;
 

@@ -433,5 +433,66 @@ TEST(JitFaultTest, CompileFailureDegradesToInterpreterNotQueryFailure) {
   FaultRegistry::Instance().Reset();
 }
 
+TEST(JitFaultTest, CompileFaultSiteSparesMemoizedCode) {
+  // jit.compile fires only where code is about to be generated: with it
+  // armed for good, a memoized plan still runs compiled in kJit and
+  // kAdaptive, and only a plan that was never compiled degrades.
+  FaultRegistry::Instance().Reset();
+  auto pool = pmem::Pool::CreateVolatile(256ull << 20);
+  ASSERT_TRUE(pool.ok());
+  auto store = storage::GraphStore::Create(pool->get());
+  ASSERT_TRUE(store.ok());
+  index::IndexManager indexes(store->get());
+  tx::TransactionManager mgr(store->get(), &indexes);
+  DictCode label = *(*store)->Code("N");
+  DictCode key = *(*store)->Code("id");
+  constexpr int kNodes = 20;
+  {
+    auto tx = mgr.Begin();
+    for (int i = 0; i < kNodes; ++i) {
+      ASSERT_TRUE(tx->CreateNode(label, {{key, PVal::Int(i)}}).ok());
+    }
+    ASSERT_TRUE(tx->Commit().ok());
+  }
+  auto engine =
+      jit::JitQueryEngine::Create(store->get(), &indexes, 2, nullptr);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  query::Plan memoized = query::PlanBuilder()
+                             .NodeScan(label)
+                             .Project({query::Expr::Property(0, key)})
+                             .Build();
+  query::Plan fresh = query::PlanBuilder().NodeScan(label).Count().Build();
+  auto run = [&](const query::Plan& plan, jit::ExecutionMode mode,
+                 jit::ExecStats* stats) {
+    auto tx = mgr.Begin();
+    auto r = (*engine)->Execute(plan, tx.get(), {}, mode, stats);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(tx->Commit().ok());
+    return r.ok() ? r->rows.size() : 0;
+  };
+  jit::ExecStats stats;
+  ASSERT_EQ(run(memoized, jit::ExecutionMode::kJit, &stats),
+            static_cast<size_t>(kNodes));
+  ASSERT_TRUE(stats.used_jit);
+
+  FaultRegistry::Instance().Arm("jit.compile", 1, FaultRegistry::kUnbounded);
+  for (jit::ExecutionMode mode :
+       {jit::ExecutionMode::kJit, jit::ExecutionMode::kAdaptive}) {
+    SCOPED_TRACE(mode == jit::ExecutionMode::kJit ? "kJit" : "kAdaptive");
+    EXPECT_EQ(run(memoized, mode, &stats), static_cast<size_t>(kNodes));
+    EXPECT_TRUE(stats.used_jit);
+    EXPECT_TRUE(stats.memo_hit);
+    EXPECT_FALSE(stats.jit_fallback);
+  }
+  EXPECT_EQ(FaultRegistry::Instance().fired("jit.compile"), 0u)
+      << "memo hits never evaluate the site";
+
+  EXPECT_EQ(run(fresh, jit::ExecutionMode::kJit, &stats), 1u);
+  EXPECT_TRUE(stats.jit_fallback);
+  EXPECT_FALSE(stats.used_jit);
+  EXPECT_EQ(FaultRegistry::Instance().fired("jit.compile"), 1u);
+  FaultRegistry::Instance().Reset();
+}
+
 }  // namespace
 }  // namespace poseidon

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ldbc/queries.h"
+#include "util/hash.h"
 
 namespace poseidon::jit {
 namespace {
@@ -233,6 +234,36 @@ TEST_F(JitTest, PersistentCacheServesNewEngine) {
   ASSERT_TRUE(tx->Commit().ok());
   EXPECT_TRUE(stats.cache_hit);
   EXPECT_TRUE(SameRows(*first, *r, /*order_sensitive=*/false));
+}
+
+TEST_F(JitTest, PlanIdAtBuildIsTheSignatureHash) {
+  // The id a plan computes when it is built is the input QueryIdFor has
+  // always hashed, so ids, and code persisted under them, stay valid.
+  auto updates = ldbc::BuildUpdates(ds_->schema, &store_->dict(), false);
+  auto indexed_updates =
+      ldbc::BuildUpdates(ds_->schema, &store_->dict(), true);
+  ASSERT_TRUE(updates.ok() && indexed_updates.ok());
+  std::vector<std::vector<ldbc::NamedQuery>> sets;
+  sets.push_back(ldbc::BuildShortReads(ds_->schema, false));
+  sets.push_back(ldbc::BuildShortReads(ds_->schema, true));
+  sets.push_back(std::move(*updates));
+  sets.push_back(std::move(*indexed_updates));
+  size_t checked = 0;
+  for (const auto& set : sets) {
+    for (const auto& q : set) {
+      EXPECT_EQ(q.plan.id(), HashString(q.plan.Signature())) << q.name;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 2 * 12 + 2 * 8u);
+  // A moved-from plan is the empty plan, id included, so it can never
+  // carry the id of operators it no longer holds.
+  Plan moved = PlanBuilder().NodeScan(ds_->schema.tag).Build();
+  Plan target = std::move(moved);
+  EXPECT_EQ(moved.root(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.id(), Plan().id());
+  EXPECT_EQ(Plan().id(), HashString(""));
+  EXPECT_EQ(target.id(), HashString(target.Signature()));
 }
 
 TEST_F(JitTest, CacheKeyIsVersionedAndIgnoresBatchSize) {

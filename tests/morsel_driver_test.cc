@@ -6,8 +6,11 @@
 // a serial run after its first morsel). Regression tests pin the driver's
 // lifecycle and scheduling guarantees: an engine destroyed with an adaptive
 // compile in flight drains it first, and parallel queries wait for their own
-// morsels only, never for the whole worker pool. The pipelined-scan tests
-// pin the per-word match queue of the compiled NodeScan.
+// morsels only, never for the whole worker pool, threads share built plans,
+// and a memo hit never waits for another plan's compile. The pipelined-scan
+// tests pin the per-word match queue of the compiled NodeScan; their
+// fixture also carries the Expand tests (version-chain neighbors in later
+// handle slots, exact per-execution adjacency-cache counts).
 
 #include "jit/jit_query_engine.h"
 
@@ -449,6 +452,109 @@ TEST_F(MorselDriverTest, ParallelQueryWaitsOnlyForItsOwnMorsels) {
   (*engine)->WaitForBackgroundCompiles();
 }
 
+TEST_F(MorselDriverTest, ThreadsShareImmutablePlansInKJit) {
+  // A built plan is immutable, so concurrent executions share it: two
+  // threads run the same Plan objects in kJit at once (racing on their
+  // first compiles too, in a fresh engine), and each compares its rows with
+  // its own kInterpret run.
+  std::vector<Plan> plans;
+  for (Source src : {Source::kNodeScan, Source::kIndexRangeScan}) {
+    for (Shape shape : kShapes) plans.push_back(MakePlan(src, shape));
+  }
+  auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::atomic<int> failures{0};
+  auto worker = [&] {
+    for (int round = 0; round < 2; ++round) {
+      for (const Plan& plan : plans) {
+        ExecStats stats;
+        auto aot = Run(plan, Source::kNodeScan, ExecutionMode::kInterpret,
+                       nullptr, engine->get());
+        auto jit = Run(plan, Source::kNodeScan, ExecutionMode::kJit, &stats,
+                       engine->get());
+        if (!aot.ok() || !jit.ok() || !stats.used_jit || stats.jit_fallback ||
+            Fingerprint(*aot) != Fingerprint(*jit)) {
+          failures.fetch_add(1);
+        }
+      }
+    }
+  };
+  std::thread a(worker);
+  std::thread b(worker);
+  a.join();
+  b.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST_F(MorselDriverTest, MemoHitDoesNotWaitForAnotherPlansCompile) {
+  // The memo has its own lock: a kJit run of already-compiled code must
+  // not queue behind a background compile of another plan, which holds the
+  // compile lock for its whole optimization, codegen and linking.
+  using Clock = std::chrono::steady_clock;
+  auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Plan point = PlanBuilder()
+                   .IndexScan(person_, id_, Expr::Literal(Value::Int(7)))
+                   .Project({Expr::Property(0, age_)})
+                   .Build();
+  ExecStats stats;
+  ASSERT_TRUE(Run(point, Source::kNodeScan, ExecutionMode::kJit, &stats,
+                  engine->get())
+                  .ok());
+  PlanBuilder b = PlanBuilder().IndexScan(person_, id_,
+                                          Expr::Literal(Value::Int(8)));
+  for (int i = 0; i < 30; ++i) {
+    PlanBuilder next = std::move(b).FilterProperty(
+        0, age_, CmpOp::kNe, Expr::Literal(Value::Int(1000 + i)));
+    b = std::move(next);
+  }
+  Plan large = std::move(b).Project({Expr::Property(0, id_)}).Build();
+  ASSERT_GE(large.CountOps(), 32);
+
+  // kAdaptive generates the IR inline and leaves optimization, codegen and
+  // linking to the compile worker.
+  ASSERT_TRUE(Run(large, Source::kNodeScan, ExecutionMode::kAdaptive, &stats,
+                  engine->get())
+                  .ok());
+  const auto queued = Clock::now();
+  std::atomic<bool> landed{false};
+  std::atomic<int64_t> landed_ns{0};
+  std::thread waiter([&] {
+    (*engine)->WaitForBackgroundCompiles();
+    landed_ns.store((Clock::now() - queued).count());
+    landed.store(true, std::memory_order_release);
+  });
+  Clock::duration worst{0};
+  int hits = 0;
+  while (!landed.load(std::memory_order_acquire)) {
+    const auto t0 = Clock::now();
+    auto r = Run(point, Source::kNodeScan, ExecutionMode::kJit, &stats,
+                 engine->get());
+    worst = std::max(worst, Clock::now() - t0);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(stats.memo_hit);
+    ++hits;
+  }
+  waiter.join();
+  const auto compile = Clock::duration(landed_ns.load());
+  if (compile < std::chrono::milliseconds(100)) {
+    GTEST_SKIP() << "the background compile took only "
+                 << std::chrono::duration<double, std::milli>(compile).count()
+                 << " ms, too short to show a wait";
+  }
+  EXPECT_GT(hits, 0);
+  // A hit that queued behind the compile lock waits out nearly the whole
+  // compile. A host stall under a parallel test run can pass 20 ms, and
+  // stalls grow with load just as the compile does, so the bound is a
+  // quarter of the compile once that exceeds 20 ms.
+  const auto bound =
+      std::max<Clock::duration>(std::chrono::milliseconds(20), compile / 4);
+  EXPECT_LT(worst, bound)
+      << "slowest of " << hits << " memo hits during a "
+      << std::chrono::duration<double, std::milli>(compile).count()
+      << " ms compile";
+}
+
 // The compiled NodeScan resolves a whole occupancy word into a queue before
 // it runs the downstream pipeline over it. These tests pin what the queue
 // must not change: per-row values (including versions that only the
@@ -493,6 +599,20 @@ class PipelinedScanTest : public ::testing::Test {
     }
     EXPECT_TRUE(tx->Commit().ok());
     return ids;
+  }
+
+  /// Links item i to items i+1, i+7 and i+13 (mod n) with `edge` edges.
+  void LinkRing(const std::vector<RecordId>& ids) {
+    const size_t n = ids.size();
+    auto tx = mgr_->Begin();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t step : {1, 7, 13}) {
+        EXPECT_TRUE(
+            tx->CreateRelationship(ids[i], ids[(i + step) % n], edge_, {})
+                .ok());
+      }
+    }
+    EXPECT_TRUE(tx->Commit().ok());
   }
 
   Plan IdAndValue() const {
@@ -693,6 +813,104 @@ TEST_F(ChargedScanTest, ChargesEveryRecordBlockAndMatchesInterpreter) {
   EXPECT_GE(elapsed,
             std::chrono::nanoseconds((50 - pmem::kPrefetchSlots) * kBlockNs));
   ASSERT_TRUE(reader->Commit().ok());
+}
+
+TEST_F(PipelinedScanTest, ExpandedNodeFromVersionChainMatchesInterpreter) {
+  // Items 1, 7 and 13 are updated after the reader began, so the neighbor
+  // handles of an Expand from item 0 (slots after the source's) resolve
+  // their old versions off the DRAM version chain, whose property snapshots
+  // the runtime stores per slot, growing that storage on demand.
+  std::vector<RecordId> ids = CreateItems(40);
+  LinkRing(ids);
+  ASSERT_TRUE(
+      indexes_->CreateIndex(item_, v_, index::Placement::kHybrid).ok());
+  Plan plan = PlanBuilder()
+                  .IndexScan(item_, v_, Expr::Literal(Value::Int(0)))
+                  .Expand(0, query::Direction::kOut, edge_)
+                  .Project({Expr::RecordId(2), Expr::Property(2, v_)})
+                  .Build();
+  auto reader = mgr_->Begin();
+  {
+    auto tx = mgr_->Begin();
+    for (int i : {1, 7, 13}) {
+      ASSERT_TRUE(tx->SetNodeProperty(ids[i], v_, PVal::Int(1000 + i)).ok());
+    }
+    ASSERT_TRUE(tx->Commit().ok());
+  }
+  QueryResult rows;
+  ExpectSameRows(plan, reader.get(), &rows);
+  std::vector<int64_t> values;
+  for (const auto& row : rows.rows) values.push_back(row[1].AsInt());
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, (std::vector<int64_t>{1, 7, 13}))
+      << "the reader sees the versions before the update";
+  ASSERT_TRUE(reader->Commit().ok());
+}
+
+TEST_F(PipelinedScanTest, ConcurrentExpandsReportTheirOwnAdjacencyCounts) {
+  // Adjacency-cache hits and misses are tallied on each execution's own
+  // transaction: two threads expanding from different items at once each
+  // report exactly what the same query reports alone. (rts tallies are
+  // left out: whether a read skips its rts bump legitimately depends on
+  // which concurrent reader bumped the record first.)
+  std::vector<RecordId> ids = CreateItems(40);
+  LinkRing(ids);
+  ASSERT_TRUE(
+      indexes_->CreateIndex(item_, v_, index::Placement::kHybrid).ok());
+  Plan plan = PlanBuilder()
+                  .IndexScan(item_, v_, Expr::Param(0))
+                  .Expand(0, query::Direction::kOut, edge_)
+                  .Expand(2, query::Direction::kOut, edge_)
+                  .Project({Expr::Property(4, v_)})
+                  .Build();
+  auto run = [&](int64_t start, ExecutionMode mode, ExecStats* stats) {
+    auto tx = mgr_->Begin();
+    auto r = engine_->Execute(plan, tx.get(), {Value::Int(start)}, mode,
+                              stats);
+    const bool ok = r.ok() && r->rows.size() == 9 && tx->Commit().ok();
+    if (!ok) tx->Abort();
+    return ok;
+  };
+  auto same = [](const ExecStats& a, const ExecStats& b) {
+    return a.adj_cache_hits == b.adj_cache_hits &&
+           a.adj_cache_misses == b.adj_cache_misses &&
+           a.jit_morsels == b.jit_morsels &&
+           a.interpreted_morsels == b.interpreted_morsels &&
+           a.used_jit == b.used_jit && a.memo_hit == b.memo_hit &&
+           a.cache_hit == b.cache_hit && a.jit_fallback == b.jit_fallback;
+  };
+  const int64_t starts[2] = {0, 20};
+  for (ExecutionMode mode : {ExecutionMode::kInterpret, ExecutionMode::kJit}) {
+    SCOPED_TRACE(ModeName(mode));
+    // The first run builds the cache entries and compiles; the second is
+    // the reference: one probe for the start item and one per neighbor.
+    ExecStats alone[2];
+    for (int t = 0; t < 2; ++t) {
+      ExecStats warm;
+      ASSERT_TRUE(run(starts[t], mode, &warm));
+      ASSERT_TRUE(run(starts[t], mode, &alone[t]));
+      EXPECT_EQ(alone[t].adj_cache_hits, 4u);
+      EXPECT_EQ(alone[t].adj_cache_misses, 0u);
+    }
+    std::atomic<int> mismatches{0};
+    std::atomic<int> failures{0};
+    auto worker = [&](int t) {
+      for (int i = 0; i < 200; ++i) {
+        ExecStats stats;
+        if (!run(starts[t], mode, &stats)) {
+          failures.fetch_add(1);
+        } else if (!same(stats, alone[t])) {
+          mismatches.fetch_add(1);
+        }
+      }
+    };
+    std::thread a(worker, 0);
+    std::thread b(worker, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
+  }
 }
 
 }  // namespace
