@@ -32,7 +32,9 @@
 # engine teardown with an adaptive compile in flight, per-query waits, the
 # compiled scan's match queue) runs in both the TSAN and the ASan stage; the
 # JIT suites (ctest -L jit) run in the ASan stage, where the runtime helpers
-# that index scan queues and chunk mirrors for generated code are checked.
+# that index scan queues and chunk mirrors for generated code are checked,
+# and so does the latency-model suite (ctest -L model), whose batched
+# prefetch those helpers drive.
 # Every stage fails the check on violations (set -e).
 
 ROOT=$(cd "$(dirname "$0")" && pwd)
@@ -65,12 +67,13 @@ if [ "${1:-}" = "--check" ]; then
   cmake --build "$ROOT"/build-asan -j"$(nproc)" --target \
       crash_explorer_test fault_injection_test crash_property_test \
       media_fault_test overload_test morsel_driver_test jit_test \
-      jit_codegen_test
+      jit_codegen_test latency_model_test
   ctest --test-dir "$ROOT"/build-asan -L fault --output-on-failure
   ctest --test-dir "$ROOT"/build-asan -L scrub --output-on-failure
   ctest --test-dir "$ROOT"/build-asan -L overload --output-on-failure
   ctest --test-dir "$ROOT"/build-asan -L driver --output-on-failure
   ctest --test-dir "$ROOT"/build-asan -L jit --output-on-failure
+  ctest --test-dir "$ROOT"/build-asan -L model --output-on-failure
   echo "ASAN FAULT CHECK DONE"
   cmake -B "$ROOT"/build-psan -S "$ROOT" -DPOSEIDON_PSAN=ON
   cmake --build "$ROOT"/build-psan -j"$(nproc)" --target \

@@ -59,9 +59,9 @@ static_assert(offsetof(tx::CachedNeighbor, rel_label) == 16);
 
 // Pipelined NodeScan geometry. The queue holds one occupancy word's
 // matches. Phase B prefetches property heads in batches of kScanPropBatch
-// (jit/runtime.h; one latency-model clock read per batch instead of per
-// head) and keeps one to two batches in flight, so two batches must fit the
-// model's in-flight slots.
+// (jit/runtime.h; one latency-model call per batch instead of per head) and
+// keeps one to two batches in flight, so two batches must fit the model's
+// in-flight slots.
 constexpr uint64_t kScanQueueCap = 64;
 static_assert((kScanPropBatch & (kScanPropBatch - 1)) == 0);
 static_assert(2 * kScanPropBatch <= pmem::kPrefetchSlots);
@@ -242,7 +242,7 @@ class CodeGenerator {
 
   llvm::FunctionCallee h_node_ref_, h_rel_ref_, h_get_prop_, h_param_,
       h_compare_, h_index_matches_, h_index_match_at_, h_emit_, h_touch_,
-      h_scan_touch_, h_scan_prefetch_props_, h_expand_cached_,
+      h_scan_chunk_, h_scan_touch_, h_scan_prefetch_props_, h_expand_cached_,
       h_should_yield_;
 
   std::map<int, Col> params_;
@@ -284,12 +284,15 @@ void CodeGenerator::DeclareHelpers() {
   h_touch_ = module_->getOrInsertFunction(
       "poseidon_touch",
       llvm::FunctionType::get(void_ty, {ptr, ptr, i64}, false));
+  h_scan_chunk_ = module_->getOrInsertFunction(
+      "poseidon_scan_chunk",
+      llvm::FunctionType::get(void_ty, {ptr, i64}, false));
   h_scan_touch_ = module_->getOrInsertFunction(
       "poseidon_scan_touch",
-      llvm::FunctionType::get(void_ty, {ptr, i64, i64}, false));
+      llvm::FunctionType::get(void_ty, {ptr, ptr, i64, i64, i64}, false));
   h_scan_prefetch_props_ = module_->getOrInsertFunction(
       "poseidon_scan_prefetch_props",
-      llvm::FunctionType::get(void_ty, {ptr, ptr, i64, i64}, false));
+      llvm::FunctionType::get(void_ty, {ptr, ptr, ptr, i64, i64}, false));
   h_expand_cached_ = module_->getOrInsertFunction(
       "poseidon_expand_cached",
       llvm::FunctionType::get(ptr, {ptr, i64, i32, i32, i32, i64p}, false));
@@ -1050,18 +1053,23 @@ Status CodeGenerator::EmitPipeline(size_t i, llvm::BasicBlock* cont) {
 //    queue of JitHandles. The fast path copies the validated record into
 //    its queue entry, so nothing after phase A reads the live PMem record.
 //    The blocks holding the word's occupied records are charged by one
-//    helper call before phase A reads them, and are not prefetched: the
-//    node stream stays bound by modeled media time rather than by the
-//    latency model's per-block bookkeeping (EXPERIMENTS.md E7b).
+//    helper call before phase A reads them; when the scan prefetches, the
+//    same call then starts the fills of the next word's record blocks, so
+//    they overlap this word's work. Model calls scale with words and
+//    property batches, never with records (EXPERIMENTS.md E7b).
 //  * Phase B runs the downstream pipeline, emitted once, over the queue in
-//    slot order, prefetching property-chain heads one to two batches of
-//    kScanPropBatch entries ahead, so the dependent property read overlaps
-//    the work on the entries before it.
+//    slot order, prefetching the blocks of the property-chain heads one to
+//    two batches of kScanPropBatch entries ahead, so the dependent property
+//    read overlaps the work on the entries before it. Once the last batch
+//    is out, the same helper re-issues the node prefetches that property
+//    fills evicted (JitScanPrefetch keeps the count within the model's
+//    fill ring).
 // A handle filled by the slow-path helper (a chain version or a DRAM
 // property snapshot, whose storage is per handle slot) is queued and then
 // flushed through phase B at once, before the next record can reuse that
-// storage. On entering a chunk the loop charges its header block, from
-// which it reads the occupancy words.
+// storage. On entering a chunk the loop calls poseidon_scan_chunk, which
+// verifies a cold chunk of a reopened pool and charges the header block
+// the occupancy words are read from.
 Status CodeGenerator::EmitNodeScanSource() {
   const Op* src = ops_[0];
   llvm::IRBuilder<> eb(entry_, entry_->begin());
@@ -1074,10 +1082,20 @@ Status CodeGenerator::EmitNodeScanSource() {
       nullptr, "scan.queue");
   queue_alloca->setAlignment(llvm::Align(8));
   auto* queue = b().CreateBitCast(queue_alloca, PtrTy());
+  // Both prefetches hang on prefetch_distance != 0 (part of the query id);
+  // the helpers keep their bookkeeping in `pf`, null when off.
+  const bool prefetch = scan_.prefetch_distance != 0;
+  llvm::Value* pf = llvm::ConstantPointerNull::get(PtrTy());
+  if (prefetch) {
+    auto* pf_alloca = eb.CreateAlloca(
+        llvm::ArrayType::get(eb.getInt8Ty(), sizeof(JitScanPrefetch)),
+        nullptr, "scan.pf");
+    pf_alloca->setAlignment(llvm::Align(alignof(JitScanPrefetch)));
+    pf = b().CreateBitCast(pf_alloca, PtrTy());
+  }
   // Queue entries resolve into snapshot storage slot `slot_idx`.
   const uint32_t slot_idx = num_handle_slots_++;
-  const bool prefetch_props =
-      scan_.prefetch_distance != 0 && ReadsScannedProperty(ops_);
+  const bool prefetch_props = prefetch && ReadsScannedProperty(ops_);
   auto entry_at = [&](llvm::Value* i) {
     return b().CreateGEP(I8(), queue, b().CreateMul(i, C64(sizeof(JitHandle))),
                          "scan.entry");
@@ -1142,7 +1160,7 @@ Status CodeGenerator::EmitNodeScanSource() {
     auto* hdr_cont = NewBlock("scan.hdr.cont");
     b().CreateCondBr(at_entry, hdr_bb, hdr_cont);
     b().SetInsertPoint(hdr_bb);
-    EmitTouch(base, kNodeHeaderBytes);
+    b().CreateCall(h_scan_chunk_, {arg_state_, chunk});
     b().CreateBr(hdr_cont);
     b().SetInsertPoint(hdr_cont);
   }
@@ -1165,11 +1183,12 @@ Status CodeGenerator::EmitNodeScanSource() {
   b().CreateStore(bits0, bits_addr);
   b().CreateCondBr(b().CreateICmpEQ(bits0, C64(0)), wlatch, wcharge);
 
-  // wcharge: the read latency of the word's occupied record blocks.
+  // wcharge: the read latency of the word's occupied record blocks, and
+  // the next word's node prefetch.
   b().SetInsertPoint(wcharge);
   b().CreateCondBr(hdr_has_latency_, wtouch, ahead);
   b().SetInsertPoint(wtouch);
-  b().CreateCall(h_scan_touch_, {arg_state_, w, bits0});
+  b().CreateCall(h_scan_touch_, {arg_state_, pf, w, bits0, arg_end_});
   b().CreateBr(ahead);
 
   // Phase A: resolve the next occupied slot into the queue's tail entry.
@@ -1221,7 +1240,8 @@ Status CodeGenerator::EmitNodeScanSource() {
     b().CreateCondBr(b().CreateAnd(hdr_has_latency_, at_batch), pf_bb,
                      pf_cont);
     b().SetInsertPoint(pf_bb);
-    b().CreateCall(h_scan_prefetch_props_, {arg_state_, queue, qi, queued});
+    b().CreateCall(h_scan_prefetch_props_,
+                   {arg_state_, pf, queue, qi, queued});
     b().CreateBr(pf_cont);
     b().SetInsertPoint(pf_cont);
   }

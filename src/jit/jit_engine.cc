@@ -60,6 +60,7 @@ llvm::Error RegisterRuntimeSymbols(llvm::orc::LLJIT* jit,
   add("poseidon_index_match_at", &poseidon_index_match_at);
   add("poseidon_emit", &poseidon_emit);
   add("poseidon_touch", &poseidon_touch);
+  add("poseidon_scan_chunk", &poseidon_scan_chunk);
   add("poseidon_scan_touch", &poseidon_scan_touch);
   add("poseidon_scan_prefetch_props", &poseidon_scan_prefetch_props);
   add("poseidon_expand_cached", &poseidon_expand_cached);

@@ -49,7 +49,7 @@ struct CompiledQuery {
 /// this whenever the emitted code changes shape or the JitHandle /
 /// JitStateHeader layout it reads changes: entries cached by another
 /// version then miss and are compiled afresh instead of being linked.
-inline constexpr uint32_t kCodegenVersion = 3;
+inline constexpr uint32_t kCodegenVersion = 4;
 
 struct JitOptions {
   /// Run the optimization pass cascade + O3 (paper §6.2). Disable for the

@@ -75,6 +75,14 @@ void JitQueryEngine::CompileInBackground(
     const query::Plan& plan, const JitOptions& options,
     const std::shared_ptr<std::atomic<CompiledQueryFn>>& task_fn,
     ExecStats* stats) {
+  // A repeated adaptive run of a plan whose compile is queued or running
+  // starts interpreted at once: BeginCompile would wait for the compile
+  // lock that compile holds.
+  const uint64_t qid = JitEngine::QueryIdFor(plan, options);
+  {
+    std::lock_guard<std::mutex> lock(bg_mu_);
+    if (bg_query_ids_.count(qid) != 0) return;
+  }
   // The plan-dependent phases (memo/cache probe + IR generation) run
   // synchronously — sub-millisecond — so the caller's plan may be destroyed
   // right after Execute returns; only the expensive optimization,
@@ -94,8 +102,7 @@ void JitQueryEngine::CompileInBackground(
     }
     return;
   }
-  // Repeated adaptive runs of an in-flight query must not queue it twice.
-  uint64_t qid = pending->result.query_id;
+  // Two first runs racing through BeginCompile must not queue it twice.
   {
     std::lock_guard<std::mutex> lock(bg_mu_);
     if (!bg_query_ids_.insert(qid).second) return;

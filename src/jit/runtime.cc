@@ -1,6 +1,7 @@
 #include "jit/runtime.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -17,6 +18,61 @@ using storage::RecordId;
 
 JitRuntimeState* State(void* p) { return static_cast<JitRuntimeState*>(p); }
 JitHandle* Handle(void* p) { return static_cast<JitHandle*>(p); }
+
+using storage::NodeTable;
+constexpr uint64_t kNodeWords = NodeTable::kBitmapWords;
+/// Most 256 B blocks one occupancy word's 64 node records can span.
+constexpr uint32_t kWordBlocks =
+    64 * sizeof(storage::NodeRecord) / pmem::kPmemBlockSize + 1;
+
+uint64_t BlockOf(const char* p) {
+  return reinterpret_cast<uintptr_t>(p) / pmem::kPmemBlockSize;
+}
+const char* BlockPtr(uint64_t block) {
+  return reinterpret_cast<const char*>(block * pmem::kPmemBlockSize);
+}
+
+/// The block-list builder of the compiled NodeScan: the 256 B blocks
+/// holding node-table word `w`'s records whose slots are set in `bits`, in
+/// address order, each once. Returns their count (at most kWordBlocks).
+uint32_t WordBlocks(const JitStateHeader& h, uint64_t w, uint64_t bits,
+                    uint64_t* out) {
+  constexpr uint64_t kRec = sizeof(storage::NodeRecord);
+  const char* slots = h.node_chunks[w / kNodeWords] + NodeTable::kHeaderBytes +
+                      w % kNodeWords * 64 * kRec;
+  uint32_t n = 0;
+  while (bits != 0) {
+    const int first = std::countr_zero(bits);
+    const int run = std::countr_one(bits >> first);
+    uint64_t lo = BlockOf(slots + first * kRec);
+    const uint64_t hi = BlockOf(slots + (first + run) * kRec - 1);
+    if (n != 0 && out[n - 1] >= lo) lo = out[n - 1] + 1;
+    for (uint64_t b = lo; b <= hi; ++b) out[n++] = b;
+    bits = first + run >= 64 ? 0 : bits & (~0ull << (first + run));
+  }
+  return n;
+}
+
+/// Starts the fills of the blocks holding the property-chain heads of the
+/// `n` queue entries at `e`, each block once, in one model call. Returns the
+/// number of fills started.
+uint32_t PrefetchHeads(JitRuntimeState* s, const JitHandle* e, uint64_t n) {
+  using storage::PropertyTable;
+  constexpr uint64_t kPerChunk = PropertyTable::kBitmapWords * 64;
+  const JitStateHeader& h = s->header;
+  uint64_t blocks[kScanPropBatch];
+  uint32_t m = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (e[i].has_snapshot != 0 || e[i].props == storage::kNullId) continue;
+    const uint64_t chunk = e[i].props / kPerChunk;
+    if (chunk >= h.prop_num_chunks) continue;
+    const uint64_t b =
+        BlockOf(h.prop_chunks[chunk] + PropertyTable::kHeaderBytes +
+                e[i].props % kPerChunk * sizeof(storage::PropertyRecord));
+    if (std::find(blocks, blocks + m, b) == blocks + m) blocks[m++] = b;
+  }
+  return s->ctx.store->pool()->TouchPrefetchBlocks(blocks, m);
+}
 
 /// Fills `h` from a Resolved record version; snapshot properties move into
 /// the per-thread per-slot storage so the handle stays POD.
@@ -212,71 +268,69 @@ void poseidon_touch(void* state, const void* ptr, uint64_t len) {
   State(state)->ctx.store->pool()->TouchRead(ptr, len);
 }
 
-void poseidon_scan_touch(void* state, uint64_t w, uint64_t bits) {
-  using storage::NodeRecord;
-  using storage::NodeTable;
-  constexpr uint64_t kBlock = pmem::kPmemBlockSize;
-  auto* s = State(state);
-  const char* slots = s->header.node_chunks[w / NodeTable::kBitmapWords] +
-                      NodeTable::kHeaderBytes +
-                      w % NodeTable::kBitmapWords * 64 * sizeof(NodeRecord);
-  // One model read per run of blocks that hold occupied slots: a dense
-  // word costs one clock read and one spin, and a block without occupied
-  // slots is never charged.
-  const auto block = [](const char* p) {
-    return reinterpret_cast<uintptr_t>(p) / kBlock;
-  };
-  const char* lo = nullptr;
-  const char* hi = nullptr;
-  while (bits != 0) {
-    const int first = std::countr_zero(bits);
-    const int run = std::countr_one(bits >> first);
-    const char* a = slots + first * sizeof(NodeRecord);
-    if (lo != nullptr && block(a) > block(hi - 1) + 1) {
-      s->ctx.store->pool()->TouchRead(lo, hi - lo);
-      lo = nullptr;
-    }
-    if (lo == nullptr) lo = a;
-    hi = a + run * sizeof(NodeRecord);
-    bits = first + run >= 64 ? 0 : bits & (~0ull << (first + run));
-  }
-  if (lo != nullptr) s->ctx.store->pool()->TouchRead(lo, hi - lo);
+void poseidon_scan_chunk(void* state, uint64_t chunk) {
+  State(state)->ctx.store->nodes().EnterChunk(chunk);
 }
 
-void poseidon_scan_prefetch_props(void* state, const void* queue,
-                                  uint64_t at, uint64_t queued) {
-  using storage::PropertyTable;
-  constexpr uint64_t kPerChunk = PropertyTable::kBitmapWords * 64;
-  constexpr uint64_t kRec = sizeof(storage::PropertyRecord);
-  const uint64_t from = at == 0 ? 0 : at + kScanPropBatch;
-  const uint64_t to = std::min(at + 2 * kScanPropBatch, queued);
-  if (from >= to) return;
+void poseidon_scan_touch(void* state, void* pf, uint64_t w, uint64_t bits,
+                         uint64_t end) {
   auto* s = State(state);
-  const JitStateHeader& h = s->header;
-  const auto* handles = static_cast<const JitHandle*>(queue);
-  // Heads of neighbouring matches often sit a few records apart; one range
-  // over them costs one model clock read instead of one per head. A range
-  // spans at most one block per head, so it takes no more in-flight slots
-  // than separate prefetches would.
-  const uint64_t max_span = (to - from) * pmem::kPmemBlockSize;
-  const char* lo = nullptr;
-  const char* hi = nullptr;
-  for (uint64_t i = from; i < to; ++i) {
-    const JitHandle& e = handles[i];
-    if (e.has_snapshot != 0 || e.props == storage::kNullId) continue;
-    const uint64_t chunk = e.props / kPerChunk;
-    if (chunk >= h.prop_num_chunks) continue;
-    const char* rec = h.prop_chunks[chunk] + PropertyTable::kHeaderBytes +
-                      e.props % kPerChunk * kRec;
-    if (lo != nullptr && rec >= lo && rec + kRec <= lo + max_span) {
-      hi = std::max(hi, rec + kRec);
-      continue;
-    }
-    if (lo != nullptr) s->ctx.store->pool()->TouchPrefetch(lo, hi - lo);
-    lo = rec;
-    hi = rec + kRec;
+  const pmem::Pool* pool = s->ctx.store->pool();
+  uint64_t blocks[kWordBlocks];
+  const uint32_t n = WordBlocks(s->header, w, bits, blocks);
+  // One model read per run of consecutive blocks: a dense word costs one
+  // call, and a block without occupied slots is never charged.
+  for (uint32_t i = 0; i < n;) {
+    uint32_t j = i + 1;
+    while (j < n && blocks[j] == blocks[j - 1] + 1) ++j;
+    pool->TouchRead(BlockPtr(blocks[i]), (j - i) * pmem::kPmemBlockSize);
+    i = j;
   }
-  if (lo != nullptr) s->ctx.store->pool()->TouchPrefetch(lo, hi - lo);
+  if (pf == nullptr) return;
+  auto* p = static_cast<JitScanPrefetch*>(pf);
+  p->num_next = 0;
+  p->prop_fills[0] = p->prop_fills[1] = 0;
+  const uint64_t next = w + 1;
+  const uint64_t w_end =
+      std::min((end + 63) / 64, s->header.node_num_chunks * kNodeWords);
+  if (next >= w_end) return;
+  const auto* chunk = reinterpret_cast<const NodeTable::ChunkHeader*>(
+      s->header.node_chunks[next / kNodeWords]);
+  uint64_t next_bits = std::atomic_ref<const uint64_t>(
+                           chunk->bitmap[next % kNodeWords])
+                           .load(std::memory_order_acquire);
+  if (end - next * 64 < 64) next_bits &= (1ull << (end - next * 64)) - 1;
+  const uint32_t m = WordBlocks(s->header, next, next_bits, blocks);
+  p->num_next = std::min(m, pmem::kPrefetchSlots);
+  std::copy(blocks + m - p->num_next, blocks + m, p->next_blocks);
+  pool->TouchPrefetchBlocks(p->next_blocks, p->num_next);
+}
+
+void poseidon_scan_prefetch_props(void* state, void* pf, const void* queue,
+                                  uint64_t at, uint64_t queued) {
+  auto* s = State(state);
+  auto* p = static_cast<JitScanPrefetch*>(pf);
+  const auto* handles = static_cast<const JitHandle*>(queue);
+  const uint64_t batch = at / kScanPropBatch;
+  auto issue = [&](uint64_t k) {
+    const uint64_t from = k * kScanPropBatch;
+    const uint64_t to = std::min(from + kScanPropBatch, queued);
+    p->prop_fills[k & 1] =
+        from < to ? PrefetchHeads(s, handles + from, to - from) : 0;
+  };
+  if (at == 0) issue(0);
+  issue(batch + 1);
+  if ((batch + 2) * kScanPropBatch < queued) return;  // batches to come
+  // The last batch is out. Entries before `at` are consumed, so only the
+  // fills of batches `batch` and `batch + 1` are still unread; the node
+  // prefetch may take the other slots. Its fills that survive are the
+  // newest ones, the tail of next_blocks, so re-issuing a tail of the
+  // allowed length restores exactly what property fills evicted.
+  const uint32_t held = p->prop_fills[0] + p->prop_fills[1];
+  if (held >= pmem::kPrefetchSlots) return;
+  const uint32_t n = std::min(pmem::kPrefetchSlots - held, p->num_next);
+  s->ctx.store->pool()->TouchPrefetchBlocks(
+      p->next_blocks + p->num_next - n, n);
 }
 
 int32_t poseidon_should_yield(void* state) {

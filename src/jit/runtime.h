@@ -25,12 +25,29 @@
 #include <memory>
 #include <vector>
 
+#include "pmem/latency_model.h"
 #include "query/interpreter.h"
 
 namespace poseidon::jit {
 
 /// Queue entries per property-head prefetch batch of the compiled NodeScan.
 inline constexpr uint64_t kScanPropBatch = 4;
+
+/// Prefetch bookkeeping of one compiled NodeScan, kept in a stack slot of
+/// the generated function (whose IR only passes its address around). The
+/// scan never holds more than pmem::kPrefetchSlots fills of its own in the
+/// latency model's fill ring, counting node fills and unconsumed property
+/// fills together, so no fill is evicted before its read.
+struct JitScanPrefetch {
+  /// The next occupancy word's record blocks the node prefetch covers: the
+  /// last ones that word's charge reaches (the fills the earlier blocks'
+  /// charges give the most time), in address order.
+  uint64_t next_blocks[pmem::kPrefetchSlots];
+  uint32_t num_next = 0;
+  /// Fills started by the two most recent property batches, indexed by the
+  /// batch number's parity.
+  uint32_t prop_fills[2] = {0, 0};
+};
 
 /// POD header at the start of JitRuntimeState, read directly by generated
 /// code (field offsets are hard-coded in jit/codegen.cc): chunk-table
@@ -149,21 +166,36 @@ uint64_t poseidon_index_match_at(void* state, uint32_t thread, uint64_t i);
 /// code calls this only when JitStateHeader::read_latency is nonzero.
 void poseidon_touch(void* state, const void* ptr, uint64_t len);
 
+/// Chunk entry of the compiled NodeScan, before it reads node chunk
+/// `chunk`'s occupancy words (storage::ChunkedTable::EnterChunk): a cold
+/// chunk of a reopened pool with checksums is verified on this first touch,
+/// then the header block is charged. Called with or without read latency.
+void poseidon_scan_chunk(void* state, uint64_t chunk);
+
 /// Node-scan read charge for occupancy word `w` (64 slots) of the node
-/// table: charges the read latency of every 256 B block holding a slot set
-/// in `bits`, in one model read per run of such blocks, before the scan
-/// reads those records. Called only when JitStateHeader::read_latency is
-/// nonzero.
-void poseidon_scan_touch(void* state, uint64_t w, uint64_t bits);
+/// table, before phase A reads the records whose slots are set in `bits`:
+/// charges the 256 B blocks holding them, in one model read per run of such
+/// blocks. With a prefetch cursor `pf` (a JitScanPrefetch; null when the
+/// scan does not prefetch), it then starts the fills of up to
+/// pmem::kPrefetchSlots blocks holding the occupied records of word w + 1,
+/// if that word starts below slot `end` (the morsel end), with one model
+/// clock read. The same block-list builder serves the charge and the
+/// prefetch. Called only when JitStateHeader::read_latency is nonzero.
+void poseidon_scan_touch(void* state, void* pf, uint64_t w, uint64_t bits,
+                         uint64_t end);
 
 /// Property-head prefetch for the NodeScan queue (`queue`, a JitHandle
 /// array of `queued` entries), called when the consumer reaches entry `at`,
-/// a multiple of kScanPropBatch: starts the modeled fills of the property-
-/// chain heads of the batch after the next one — of the first two batches
-/// when `at` is 0 — so one to two batches are in flight. Handles with DRAM
-/// snapshot properties or no properties are skipped. Called only when
-/// JitStateHeader::read_latency is nonzero.
-void poseidon_scan_prefetch_props(void* state, const void* queue,
+/// a multiple of kScanPropBatch: starts the modeled fills of the blocks
+/// holding the property-chain heads of the batch after the next one — of
+/// the first two batches when `at` is 0 — so one to two batches are in
+/// flight. Each batch prefetches exactly its heads' blocks, deduplicated,
+/// in one model call; handles with DRAM snapshot properties or no
+/// properties are skipped. Once the last batch of the queue is out, each
+/// call also re-issues the node prefetches of `pf` that property fills
+/// evicted, in the ring slots no unconsumed property fill holds. Called
+/// only when JitStateHeader::read_latency is nonzero.
+void poseidon_scan_prefetch_props(void* state, void* pf, const void* queue,
                                   uint64_t at, uint64_t queued);
 
 /// Probes (or lazily builds) the versioned DRAM adjacency cache for

@@ -59,10 +59,14 @@ struct LatencyModel {
   /// property records in the same block) are served buffer-hot, which is
   /// what gives PMem its near-sequential-bandwidth behaviour (C3).
   ///
-  /// Blocks announced via OnPrefetch earlier only pay the *remaining* time
-  /// until the in-flight fill completes (possibly zero), so software
-  /// prefetching overlaps PMem latency with real work — exactly the effect a
-  /// hardware `prefetchnta` has against a DCPMM.
+  /// Blocks announced via OnPrefetch / OnPrefetchBlocks earlier only pay
+  /// what is left of their in-flight fill, so software prefetching overlaps
+  /// PMem latency with real work — exactly the effect a hardware
+  /// `prefetchnta` has against a DCPMM. The blocks are charged in address
+  /// order, as reading them one at a time would be: an in-flight block pays
+  /// only the part of its fill that is still outstanding once the charges
+  /// of the blocks before it have elapsed. The clock is read at most once
+  /// per call, and only when an in-flight block is met.
   void OnRead(const void* addr, uint64_t len) const {
     if (read_block_ns == 0 || len == 0) return;
     PrefetchRing& ring = TlsRing();
@@ -75,8 +79,10 @@ struct LatencyModel {
       if (b == ring.last_block) continue;
       if (uint64_t* ready_at = ring.Find(b)) {
         if (now == 0) now = NowNs();
-        if (*ready_at > now) wait_ns += *ready_at - now;
-        continue;  // fill already in flight; pay only the residual
+        // The read reaches this block once the waits before it are over.
+        const uint64_t reached = now + wait_ns;
+        if (*ready_at > reached) wait_ns += *ready_at - reached;
+        continue;
       }
       wait_ns += read_block_ns;
     }
@@ -100,6 +106,26 @@ struct LatencyModel {
       if (b == ring.last_block || ring.Find(b) != nullptr) continue;
       ring.Insert(b, now + read_block_ns);
     }
+  }
+
+  /// Batched prefetch: starts fills for the 256 B blocks `blocks[0..n)`
+  /// (block numbers, address / kPmemBlockSize) with one clock read. Blocks
+  /// already in flight or last read are skipped, and at most kPrefetchSlots
+  /// fills are started, so a batch never evicts its own fills. Returns the
+  /// number of fills started — the ring slots the batch took.
+  uint32_t OnPrefetchBlocks(const uint64_t* blocks, uint32_t n) const {
+    if (read_block_ns == 0 || n == 0) return 0;
+    PrefetchRing& ring = TlsRing();
+    uint64_t ready_at = 0;  // one clock read, only if a fill starts
+    uint32_t started = 0;
+    for (uint32_t i = 0; i < n && started < kPrefetchSlots; ++i) {
+      const uint64_t b = blocks[i];
+      if (b == ring.last_block || ring.Find(b) != nullptr) continue;
+      if (ready_at == 0) ready_at = NowNs() + read_block_ns;
+      ring.Insert(b, ready_at);
+      ++started;
+    }
+    return started;
   }
 
   /// Models flushing `lines` dirty cache lines.

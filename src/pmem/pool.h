@@ -211,6 +211,18 @@ class Pool {
     latency_.OnPrefetch(addr, len);
   }
 
+  /// TouchPrefetch for a list of 256 B blocks (block numbers, address /
+  /// kPmemBlockSize), with one model clock read for the whole list (see
+  /// LatencyModel::OnPrefetchBlocks). Returns the number of fills started.
+  uint32_t TouchPrefetchBlocks(const uint64_t* blocks, uint32_t n) const {
+    for (uint32_t i = 0; i < n; ++i) {
+      __builtin_prefetch(reinterpret_cast<const void*>(blocks[i] *
+                                                       kPmemBlockSize),
+                         /*rw=*/0, /*locality=*/0);
+    }
+    return latency_.OnPrefetchBlocks(blocks, n);
+  }
+
   // --- Root object -------------------------------------------------------
 
   /// The root offset is the application's entry point into the pool

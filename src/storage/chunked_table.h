@@ -275,6 +275,15 @@ class ChunkedTable {
   /// generated code for direct record addressing.
   char* const* chunk_ptr_array() const { return chunk_ptrs_.data(); }
 
+  /// What a scan does on entering chunk `chunk` (below num_chunks()),
+  /// before it reads the chunk's occupancy words: a reopened pool with
+  /// checksums verifies the chunk on its first touch, then the header block
+  /// is charged. ScanBatch and the compiled NodeScan both call it.
+  void EnterChunk(uint64_t chunk) const {
+    MaybeVerifyChunk(chunk);
+    pool_->TouchRead(chunk_ptrs_[chunk], kHeaderBytes);
+  }
+
   /// Invokes f(id, record&) for every occupied slot (single-threaded scan).
   template <typename F>
   void ForEach(F&& f) const {
@@ -317,10 +326,9 @@ class ChunkedTable {
       uint64_t chunk = id / kRecordsPerChunk;
       if (chunk != cur_chunk) {
         cur_chunk = chunk;
-        MaybeVerifyChunk(chunk);
-        // The occupancy words below are PMem reads too: charge the header
-        // block once per chunk entry.
-        pool_->TouchRead(chunk_ptrs_[chunk], kHeaderBytes);
+        // The occupancy words below are PMem reads too: the header block
+        // is charged once per chunk entry.
+        EnterChunk(chunk);
         uint64_t next_chunk = chunk + 1;
         if (opts.prefetch_distance != 0 &&
             next_chunk * kRecordsPerChunk < end) {

@@ -1,8 +1,10 @@
 // LatencyModel tests: env-knob parsing, the Dram()/EmulatedPmem() presets,
-// and the zero-latency passthrough guarantees that keep DRAM-mode tests
-// fast. The spin-wait *durations* are calibrated elsewhere (bench_pmem_micro
-// E1); here we only assert behaviour that is timing-independent or
-// one-sided (an upper bound of "essentially free").
+// the zero-latency passthrough guarantees that keep DRAM-mode tests fast,
+// and the prefetch rules: a multi-block read charges its blocks in order,
+// and a batched prefetch starts at most kPrefetchSlots fills. The spin-wait
+// *durations* are calibrated elsewhere (bench_pmem_micro E1); the timed
+// tests here use 50 ms blocks, so the outcomes they separate lie a whole
+// block apart.
 
 #include "pmem/latency_model.h"
 
@@ -126,6 +128,94 @@ TEST_F(LatencyModelTest, PrefetchMakesLaterReadCheaper) {
                 .count(),
             40)
       << "prefetched block paid the full read latency";
+}
+
+// The batched-prefetch tests address blocks by number: the model never
+// dereferences them, and each test uses its own range because the fill
+// ring is per thread and outlives a test.
+const void* BlockAddr(uint64_t block) {
+  return reinterpret_cast<const void*>(block * kPmemBlockSize);
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST_F(LatencyModelTest, BlocksPrefetchedTogetherCostOneFillReadEitherWay) {
+  // Four blocks prefetched in one batch fill in parallel. Read in one call
+  // right away, the first pays what is left of its fill and the others are
+  // ready by the time the read reaches them: one fill in all, the same as
+  // reading them one at a time. (Charging every block its residual from
+  // the start of the call would cost four fills.)
+  LatencyModel m;
+  m.read_block_ns = 50'000'000;  // 50 ms
+  const uint64_t together[4] = {1000, 1001, 1002, 1003};
+  ASSERT_EQ(m.OnPrefetchBlocks(together, 4), 4u);
+  auto start = std::chrono::steady_clock::now();
+  m.OnRead(BlockAddr(1000), 4 * kPmemBlockSize);
+  const double one_call = MsSince(start);
+
+  const uint64_t apart[4] = {1010, 1011, 1012, 1013};
+  ASSERT_EQ(m.OnPrefetchBlocks(apart, 4), 4u);
+  start = std::chrono::steady_clock::now();
+  for (uint64_t b : apart) m.OnRead(BlockAddr(b), kPmemBlockSize);
+  const double one_by_one = MsSince(start);
+
+  for (double ms : {one_call, one_by_one}) {
+    EXPECT_GE(ms, 25.0) << "the fill was still outstanding";
+    EXPECT_LT(ms, 100.0) << "in-flight blocks paid more than one fill";
+  }
+}
+
+TEST_F(LatencyModelTest, UnprefetchedBlocksPayFullLatencyInReadOrder) {
+  // Blocks 2000 and 2002 are in flight, 2001 and 2003 are not. One read of
+  // all four: 2000 pays its residual (~1 fill), 2001 a full fill, 2002 is
+  // ready by then, 2003 a full fill: three fills, against four if each
+  // in-flight block paid its residual from the start of the call.
+  LatencyModel m;
+  m.read_block_ns = 50'000'000;
+  const uint64_t some[2] = {2000, 2002};
+  ASSERT_EQ(m.OnPrefetchBlocks(some, 2), 2u);
+  const auto start = std::chrono::steady_clock::now();
+  m.OnRead(BlockAddr(2000), 4 * kPmemBlockSize);
+  const double ms = MsSince(start);
+  EXPECT_GE(ms, 100.0) << "each unprefetched block costs a full fill";
+  EXPECT_LT(ms, 190.0) << "the ready in-flight block was charged again";
+
+  // Not prefetched at all: read_block_ns per block.
+  const auto cold = std::chrono::steady_clock::now();
+  m.OnRead(BlockAddr(2100), 2 * kPmemBlockSize);
+  EXPECT_GE(MsSince(cold), 100.0);
+}
+
+TEST_F(LatencyModelTest, BatchedPrefetchSkipsInFlightAndLastReadBlocks) {
+  // The return value counts the fills a batch started: blocks in flight or
+  // last read are skipped, and the ring never holds more than
+  // kPrefetchSlots, so older fills are evicted and can start again.
+  LatencyModel m;
+  m.read_block_ns = 1;  // nonzero: the model is on; no read below spins long
+  m.OnRead(BlockAddr(3000), 1);
+  const uint64_t first[3] = {3000, 3001, 3002};
+  EXPECT_EQ(m.OnPrefetchBlocks(first, 3), 2u) << "3000 was read last";
+  const uint64_t overlap[3] = {3001, 3002, 3003};
+  EXPECT_EQ(m.OnPrefetchBlocks(overlap, 3), 1u) << "3001, 3002 in flight";
+  const uint64_t dup[3] = {3004, 3004, 3004};
+  EXPECT_EQ(m.OnPrefetchBlocks(dup, 3), 1u);
+
+  uint64_t many[12];
+  for (uint64_t i = 0; i < 12; ++i) many[i] = 3100 + i;
+  EXPECT_EQ(m.OnPrefetchBlocks(many, 12), kPrefetchSlots)
+      << "at most kPrefetchSlots fills per batch";
+  EXPECT_EQ(m.OnPrefetchBlocks(many, kPrefetchSlots), 0u);
+  EXPECT_EQ(m.OnPrefetchBlocks(many + kPrefetchSlots, 4), 4u);
+  // Those four evicted the four oldest fills of the first batch.
+  EXPECT_EQ(m.OnPrefetchBlocks(many, 4), 4u);
+  EXPECT_EQ(m.OnPrefetchBlocks(first + 1, 2), 2u) << "evicted long ago";
+
+  LatencyModel off;  // read_block_ns == 0: nothing is modeled
+  EXPECT_EQ(off.OnPrefetchBlocks(many, 12), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -313,6 +315,82 @@ TEST_F(MediaFaultTest, ChunkHeaderLineIsRepaired) {
   EXPECT_EQ(v->AsInt(), 599);
   ASSERT_TRUE(tx->CreateNode(person, {{v_key, PVal::Int(600)}}).ok());
   ASSERT_TRUE(tx->Commit().ok());
+  EXPECT_EQ(pmem::PsanTotalViolations(), 0u);
+}
+
+// The compiled NodeScan reads node chunks through the chunk mirror rather
+// than ChunkedTable::ScanBatch, so it must run the same first-touch
+// verification: a kJit scan that is the first touch of a cold chunk after
+// Open finds a flipped record, quarantines it, and returns the rows a later
+// interpreted scan returns, with and without read latency.
+TEST_F(MediaFaultTest, CompiledScanVerifiesColdChunkOnFirstTouch) {
+  for (uint64_t read_ns : {uint64_t{0}, uint64_t{2000}}) {
+    SCOPED_TRACE("read_block_ns " + std::to_string(read_ns));
+    const std::string path = testing::TempDir() + "/jit_first_touch.pmem";
+    std::filesystem::remove(path);
+    GraphDbOptions o = ShadowOptions();
+    o.path = path;
+    o.enable_query_cache = false;
+    o.has_latency_override = true;
+    o.latency_override.read_block_ns = read_ns;
+    pmem::Offset flipped = 0;
+    {
+      auto db = GraphDb::Create(o);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      auto person = *(*db)->Code("Person");
+      auto v_key = *(*db)->Code("v");
+      std::vector<RecordId> ids;
+      auto tx = (*db)->Begin();
+      for (int i = 0; i < 1200; ++i) {  // three chunks of 512 slots
+        auto id = tx->CreateNode(person, {{v_key, PVal::Int(i)}});
+        ASSERT_TRUE(id.ok());
+        ids.push_back(*id);
+      }
+      ASSERT_TRUE(tx->Commit().ok());
+      flipped = (*db)->pool()->ToOffset((*db)->store()->nodes().At(ids[1100]));
+    }
+    {
+      // Media decay while the pool is closed: one bit of an occupied
+      // record in the last chunk, which nothing reads before the scan.
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.good());
+      const auto at = static_cast<std::streamoff>(
+          flipped + offsetof(storage::NodeRecord, reserved));
+      char byte;
+      f.seekg(at);
+      f.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0x10);
+      f.seekp(at);
+      f.write(&byte, 1);
+    }
+    auto db = GraphDb::Open(o);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    pmem::Pool* pool = (*db)->pool();
+    ASSERT_TRUE(pool->checksums_enabled());
+    const uint64_t mismatches_before = pool->scrub_stats().mismatches.load();
+    Plan plan = PlanBuilder()
+                    .NodeScan(*(*db)->Code("Person"))
+                    .Project({Expr::RecordId(0),
+                              Expr::Property(0, *(*db)->Code("v"))})
+                    .Build();
+    jit::ExecStats stats;
+    auto jit = (*db)->Execute(plan, jit::ExecutionMode::kJit, {}, &stats);
+    ASSERT_TRUE(jit.ok()) << jit.status().ToString();
+    EXPECT_TRUE(stats.used_jit);
+    EXPECT_GT(pool->scrub_stats().mismatches.load(), mismatches_before)
+        << "the compiled scan served the cold chunk unverified";
+    EXPECT_GE(stats.scrub_quarantined, 1u);
+    auto aot = (*db)->Execute(plan, jit::ExecutionMode::kInterpret);
+    ASSERT_TRUE(aot.ok()) << aot.status().ToString();
+    ASSERT_EQ(jit->rows.size(), aot->rows.size());
+    EXPECT_EQ(jit->rows.size(), 1199u) << "the flipped record is quarantined";
+    for (size_t i = 0; i < aot->rows.size(); ++i) {
+      EXPECT_EQ(jit->rows[i][0].AsInt(), aot->rows[i][0].AsInt());
+      EXPECT_EQ(jit->rows[i][1].AsInt(), aot->rows[i][1].AsInt());
+    }
+    db->reset();
+    std::filesystem::remove(path);
+  }
   EXPECT_EQ(pmem::PsanTotalViolations(), 0u);
 }
 

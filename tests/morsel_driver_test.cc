@@ -7,10 +7,12 @@
 // lifecycle and scheduling guarantees: an engine destroyed with an adaptive
 // compile in flight drains it first, and parallel queries wait for their own
 // morsels only, never for the whole worker pool, threads share built plans,
-// and a memo hit never waits for another plan's compile. The pipelined-scan
-// tests pin the per-word match queue of the compiled NodeScan; their
-// fixture also carries the Expand tests (version-chain neighbors in later
-// handle slots, exact per-execution adjacency-cache counts).
+// a memo hit never waits for another plan's compile, and an adaptive rerun
+// never waits for its own. The pipelined-scan tests pin the per-word match
+// queue of the compiled NodeScan and, under read latency, its node and
+// property prefetches; their fixture also carries the Expand tests
+// (version-chain neighbors in later handle slots, exact per-execution
+// adjacency-cache counts).
 
 #include "jit/jit_query_engine.h"
 
@@ -278,6 +280,69 @@ class MorselDriverTest : public ::testing::Test {
     return r;
   }
 
+  /// An IndexScan with 30 Filters and a Project (32 operators), whose
+  /// compile takes long enough to show a wait behind it. `base` keeps the
+  /// plans of different tests apart.
+  static Plan LargePlan(int64_t base) {
+    PlanBuilder b = PlanBuilder().IndexScan(person_, id_,
+                                            Expr::Literal(Value::Int(8)));
+    for (int i = 0; i < 30; ++i) {
+      PlanBuilder next = std::move(b).FilterProperty(
+          0, age_, CmpOp::kNe, Expr::Literal(Value::Int(base + i)));
+      b = std::move(next);
+    }
+    return std::move(b).Project({Expr::Property(0, id_)}).Build();
+  }
+
+  /// Queues `large`'s background compile in `engine` with a kAdaptive run
+  /// (which generates the IR inline and leaves optimization, codegen and
+  /// linking to the compile worker), then repeats `probe` until the compile
+  /// lands. A probe that queued behind the compile lock waits out nearly
+  /// the whole compile; a host stall under a parallel test run can pass
+  /// 20 ms, and stalls grow with load just as the compile does, so the
+  /// slowest probe must stay under max(20 ms, compile / 4). Skips when the
+  /// compile took under 100 ms, too short to show a wait.
+  template <typename Probe>
+  static void ExpectNoWaitDuringCompile(JitQueryEngine* engine,
+                                        const Plan& large, const char* what,
+                                        Probe&& probe) {
+    using Clock = std::chrono::steady_clock;
+    ASSERT_GE(large.CountOps(), 32);
+    ExecStats stats;
+    ASSERT_TRUE(Run(large, Source::kNodeScan, ExecutionMode::kAdaptive,
+                    &stats, engine)
+                    .ok());
+    const auto queued = Clock::now();
+    std::atomic<bool> landed{false};
+    std::atomic<int64_t> landed_ns{0};
+    std::thread waiter([&] {
+      engine->WaitForBackgroundCompiles();
+      landed_ns.store((Clock::now() - queued).count());
+      landed.store(true, std::memory_order_release);
+    });
+    Clock::duration worst{0};
+    int probes = 0;
+    while (!landed.load(std::memory_order_acquire)) {
+      const auto t0 = Clock::now();
+      probe();
+      worst = std::max(worst, Clock::now() - t0);
+      ++probes;
+    }
+    waiter.join();
+    const auto compile = Clock::duration(landed_ns.load());
+    const double compile_ms =
+        std::chrono::duration<double, std::milli>(compile).count();
+    if (compile < std::chrono::milliseconds(100)) {
+      GTEST_SKIP() << "the background compile took only " << compile_ms
+                   << " ms, too short to show a wait";
+    }
+    EXPECT_GT(probes, 0);
+    const auto bound =
+        std::max<Clock::duration>(std::chrono::milliseconds(20), compile / 4);
+    EXPECT_LT(worst, bound) << "slowest of " << probes << " " << what
+                            << " during a " << compile_ms << " ms compile";
+  }
+
   static pmem::Pool* pool_;
   static storage::GraphStore* store_;
   static index::IndexManager* indexes_;
@@ -490,7 +555,6 @@ TEST_F(MorselDriverTest, MemoHitDoesNotWaitForAnotherPlansCompile) {
   // The memo has its own lock: a kJit run of already-compiled code must
   // not queue behind a background compile of another plan, which holds the
   // compile lock for its whole optimization, codegen and linking.
-  using Clock = std::chrono::steady_clock;
   auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Plan point = PlanBuilder()
@@ -501,58 +565,27 @@ TEST_F(MorselDriverTest, MemoHitDoesNotWaitForAnotherPlansCompile) {
   ASSERT_TRUE(Run(point, Source::kNodeScan, ExecutionMode::kJit, &stats,
                   engine->get())
                   .ok());
-  PlanBuilder b = PlanBuilder().IndexScan(person_, id_,
-                                          Expr::Literal(Value::Int(8)));
-  for (int i = 0; i < 30; ++i) {
-    PlanBuilder next = std::move(b).FilterProperty(
-        0, age_, CmpOp::kNe, Expr::Literal(Value::Int(1000 + i)));
-    b = std::move(next);
-  }
-  Plan large = std::move(b).Project({Expr::Property(0, id_)}).Build();
-  ASSERT_GE(large.CountOps(), 32);
-
-  // kAdaptive generates the IR inline and leaves optimization, codegen and
-  // linking to the compile worker.
-  ASSERT_TRUE(Run(large, Source::kNodeScan, ExecutionMode::kAdaptive, &stats,
-                  engine->get())
-                  .ok());
-  const auto queued = Clock::now();
-  std::atomic<bool> landed{false};
-  std::atomic<int64_t> landed_ns{0};
-  std::thread waiter([&] {
-    (*engine)->WaitForBackgroundCompiles();
-    landed_ns.store((Clock::now() - queued).count());
-    landed.store(true, std::memory_order_release);
-  });
-  Clock::duration worst{0};
-  int hits = 0;
-  while (!landed.load(std::memory_order_acquire)) {
-    const auto t0 = Clock::now();
+  ExpectNoWaitDuringCompile(engine->get(), LargePlan(1000), "memo hits", [&] {
     auto r = Run(point, Source::kNodeScan, ExecutionMode::kJit, &stats,
                  engine->get());
-    worst = std::max(worst, Clock::now() - t0);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(stats.memo_hit);
-    ++hits;
-  }
-  waiter.join();
-  const auto compile = Clock::duration(landed_ns.load());
-  if (compile < std::chrono::milliseconds(100)) {
-    GTEST_SKIP() << "the background compile took only "
-                 << std::chrono::duration<double, std::milli>(compile).count()
-                 << " ms, too short to show a wait";
-  }
-  EXPECT_GT(hits, 0);
-  // A hit that queued behind the compile lock waits out nearly the whole
-  // compile. A host stall under a parallel test run can pass 20 ms, and
-  // stalls grow with load just as the compile does, so the bound is a
-  // quarter of the compile once that exceeds 20 ms.
-  const auto bound =
-      std::max<Clock::duration>(std::chrono::milliseconds(20), compile / 4);
-  EXPECT_LT(worst, bound)
-      << "slowest of " << hits << " memo hits during a "
-      << std::chrono::duration<double, std::milli>(compile).count()
-      << " ms compile";
+  });
+}
+
+TEST_F(MorselDriverTest, AdaptiveRerunDoesNotWaitForItsOwnCompile) {
+  // A kAdaptive run of a plan whose background compile is queued or running
+  // starts interpreted at once; it must not wait for the compile lock that
+  // compile holds.
+  auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Plan large = LargePlan(2000);
+  ExpectNoWaitDuringCompile(engine->get(), large, "adaptive reruns", [&] {
+    ExecStats stats;
+    auto r = Run(large, Source::kNodeScan, ExecutionMode::kAdaptive, &stats,
+                 engine->get());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  });
 }
 
 // The compiled NodeScan resolves a whole occupancy word into a queue before
@@ -652,6 +685,29 @@ class ChargedScanTest : public PipelinedScanTest {
  protected:
   static constexpr uint64_t kBlockNs = 20000;
   ChargedScanTest() { read_block_ns_ = kBlockNs; }
+
+  /// Switches both compiled prefetches (node blocks, property heads) and
+  /// the interpreter's record prefetch.
+  void SetPrefetch(bool on) {
+    storage::ScanOptions o = engine_->scan_options();
+    o.prefetch_distance = on ? 4 : 0;
+    engine_->set_scan_options(o);
+  }
+
+  Plan IdsOnly() const {
+    return PlanBuilder().NodeScan(item_).Project({Expr::RecordId(0)}).Build();
+  }
+
+  /// Wall time of one compiled run of `plan`, which returns `rows` rows.
+  std::chrono::nanoseconds TimedJitScan(const Plan& plan, tx::Transaction* tx,
+                                        size_t rows) {
+    const auto start = std::chrono::steady_clock::now();
+    auto r = engine_->Execute(plan, tx, {}, ExecutionMode::kJit);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) EXPECT_EQ(r->rows.size(), rows);
+    return elapsed;
+  }
 };
 
 TEST_F(PipelinedScanTest, OldSnapshotKeepsMidWordVersionsInTheirOwnRows) {
@@ -783,10 +839,11 @@ TEST_F(PipelinedScanTest, ConcurrentWriterKeepsCompiledScansEqual) {
 TEST_F(ChargedScanTest, ChargesEveryRecordBlockAndMatchesInterpreter) {
   // 200 items fill slots 0..199 of the first chunk: 51 blocks of records
   // (slot s sits in block (s + 2) / 4 behind the 128 B chunk header). The
-  // header charge on entering the chunk covers block 0; every other block
-  // is charged in full, as the compiled scan prefetches no node records,
-  // except for up to kPrefetchSlots blocks whose fills the interpreter's
-  // run started and that still sit in the model's per-thread fill ring.
+  // header charge on entering the chunk covers block 0; with prefetching
+  // off every other block is charged in full, except for up to
+  // kPrefetchSlots blocks whose fills an earlier run started and that
+  // still sit in the model's per-thread fill ring.
+  SetPrefetch(false);
   std::vector<RecordId> ids = CreateItems(200);
   ASSERT_EQ(ids.back(), 199u);
   auto reader = mgr_->Begin();
@@ -800,19 +857,95 @@ TEST_F(ChargedScanTest, ChargesEveryRecordBlockAndMatchesInterpreter) {
   ASSERT_EQ(rows.rows.size(), ids.size());
   EXPECT_EQ(rows.rows[70][1].AsInt(), 70) << "the reader's own version";
 
-  Plan ids_only = PlanBuilder()
-                      .NodeScan(item_)
-                      .Project({Expr::RecordId(0)})
-                      .Build();
+  Plan ids_only = IdsOnly();
   ExpectSameRows(ids_only, reader.get());
-  const auto start = std::chrono::steady_clock::now();
-  auto r = engine_->Execute(ids_only, reader.get(), {}, ExecutionMode::kJit);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows.size(), ids.size());
+  const auto elapsed = TimedJitScan(ids_only, reader.get(), ids.size());
   EXPECT_GE(elapsed,
             std::chrono::nanoseconds((50 - pmem::kPrefetchSlots) * kBlockNs));
   ASSERT_TRUE(reader->Commit().ok());
+}
+
+TEST_F(ChargedScanTest, NodePrefetchHidesTheNextWordsBlocks) {
+  // The same 51 blocks with prefetching on: each word's charge starts the
+  // fills of up to kPrefetchSlots blocks of the next word, so words 1..3
+  // can each have that many blocks in flight, and an earlier run may leave
+  // kPrefetchSlots more in the ring. Every other block is charged in full.
+  // Words 1 and 2 have their last 8 blocks in flight when the charge
+  // reaches them, while an unprefetched run finds at most kPrefetchSlots
+  // blocks an earlier run left in the ring, so prefetching saves at least
+  // 8 block charges. The test demands 2 of them, comparing the fastest of
+  // seven runs each, alternating, so the two see the same host: under a
+  // loaded host a run's CPU work stretches by more than the rest.
+  std::vector<RecordId> ids = CreateItems(200);
+  ASSERT_EQ(ids.back(), 199u);
+  Plan ids_only = IdsOnly();
+  auto reader = mgr_->Begin();
+  std::chrono::nanoseconds fastest[2] = {std::chrono::hours(1),
+                                         std::chrono::hours(1)};
+  for (int round = 0; round < 7; ++round) {
+    for (bool prefetch : {false, true}) {
+      SCOPED_TRACE(prefetch ? "prefetch on" : "prefetch off");
+      SetPrefetch(prefetch);
+      ExpectSameRows(ids_only, reader.get());
+      fastest[prefetch] = std::min(
+          fastest[prefetch], TimedJitScan(ids_only, reader.get(), ids.size()));
+    }
+  }
+  EXPECT_GE(fastest[1], std::chrono::nanoseconds(
+                            (50 - 4 * pmem::kPrefetchSlots) * kBlockNs));
+  EXPECT_LT(fastest[1] + std::chrono::nanoseconds(2 * kBlockNs), fastest[0])
+      << "prefetched " << fastest[1].count() << " ns, unprefetched "
+      << fastest[0].count() << " ns";
+  ASSERT_TRUE(reader->Commit().ok());
+}
+
+TEST_F(ChargedScanTest, PrefetchEdgesMatchInterpreterInEveryMode) {
+  // 5120 items fill ten chunks exactly, so the scan's next-word prefetch
+  // meets every edge: a chunk change every 8 words, the end of the first
+  // two morsels (slots 2048 and 4096) and the table's last word, past which
+  // there is no chunk. Deleted items leave gaps inside words and one run of
+  // empty words. Compiled runs on two workers and the parallel interpreter
+  // must return the kInterpret rows, with and without property reads.
+  constexpr int kItems = 5120;
+  std::vector<RecordId> ids = CreateItems(kItems);
+  ASSERT_EQ(ids.back(), static_cast<RecordId>(kItems - 1));
+  {
+    auto tx = mgr_->Begin();
+    for (int i = 0; i < kItems; ++i) {
+      if (i % 7 == 3 || (i >= 2100 && i < 2300)) {
+        ASSERT_TRUE(tx->DeleteNode(ids[i]).ok());
+      }
+    }
+    ASSERT_TRUE(tx->Commit().ok());
+  }
+  ASSERT_EQ(store_->nodes().NumSlots(), static_cast<uint64_t>(kItems));
+  const uint64_t morsels = (kItems + kMorselSize - 1) / kMorselSize;
+  SetPrefetch(true);
+  for (const Plan& plan : {IdAndValue(), IdsOnly()}) {
+    auto tx = mgr_->Begin();
+    auto aot = engine_->Execute(plan, tx.get(), {}, ExecutionMode::kInterpret);
+    ASSERT_TRUE(aot.ok()) << aot.status().ToString();
+    const std::vector<std::string> expected = Fingerprint(*aot);
+    ASSERT_FALSE(expected.empty());
+    for (ExecutionMode mode :
+         {ExecutionMode::kJit, ExecutionMode::kAdaptive,
+          ExecutionMode::kInterpretParallel}) {
+      SCOPED_TRACE(ModeName(mode));
+      ExecStats stats;
+      auto r = engine_->Execute(plan, tx.get(), {}, mode, &stats);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(Fingerprint(*r), expected);
+      if (mode != ExecutionMode::kAdaptive) continue;
+      // Once the background compile landed, every morsel runs compiled on
+      // the workers.
+      engine_->WaitForBackgroundCompiles();
+      r = engine_->Execute(plan, tx.get(), {}, mode, &stats);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(Fingerprint(*r), expected);
+      EXPECT_EQ(stats.jit_morsels, morsels);
+    }
+    ASSERT_TRUE(tx->Commit().ok());
+  }
 }
 
 TEST_F(PipelinedScanTest, ExpandedNodeFromVersionChainMatchesInterpreter) {
