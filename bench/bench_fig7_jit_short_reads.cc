@@ -97,8 +97,8 @@ int Main() {
   }
   json.Write();
   std::printf(
-      "\n(JIT+c adds the one-off compilation; compile time is a few ms and "
-      "grows mildly with operator count.)\n"
+      "\n(JIT+c adds the one-off compilation: tens of ms per query on this "
+      "engine, mostly LLVM object emission, against the paper's few ms.)\n"
       "expected shape: JIT < AOT on every query; JIT+c < AOT for the "
       "scan-heavy queries.\n");
   return 0;

@@ -4,7 +4,6 @@
 #include <llvm/ExecutionEngine/Orc/LLJIT.h>
 #include <llvm/IR/LegacyPassManager.h>
 #include <llvm/Support/TargetSelect.h>
-#include <llvm/Transforms/IPO/PassManagerBuilder.h>
 #include <llvm/Transforms/InstCombine/InstCombine.h>
 #include <llvm/Transforms/Scalar.h>
 #include <llvm/Transforms/Utils.h>
@@ -68,6 +67,13 @@ llvm::Error RegisterRuntimeSymbols(llvm::orc::LLJIT* jit,
   return jd.define(llvm::orc::absoluteSymbols(std::move(symbols)));
 }
 
+/// A memo entry as its reader gets it: a hit paid for no compile.
+CompiledQuery AsMemoHit(CompiledQuery entry) {
+  entry.from_memo = true;
+  entry.codegen_ms = entry.cascade_ms = entry.emit_ms = 0;
+  return entry;
+}
+
 std::string LlvmErrToString(llvm::Error err) {
   std::string out;
   llvm::handleAllErrors(std::move(err), [&](const llvm::ErrorInfoBase& e) {
@@ -77,26 +83,29 @@ std::string LlvmErrToString(llvm::Error err) {
   return out;
 }
 
-/// The paper's run-time optimization strategy: the explicit cascade
-/// followed by the aggressive standard pipeline (-O3).
-void OptimizeModule(llvm::Module* module) {
+/// The run-time optimization strategy: the paper's five-pass cascade, then
+/// the five passes of the standard -O3 pipeline that carry its speed on the
+/// generated code. Jump threading, value propagation and a CFG cleanup,
+/// followed by loop rotation and LICM, ran the IS plans as fast as the
+/// whole -O3 module pipeline on a latency-free pool (geometric mean) at a
+/// fifth of its compile time; neither group alone did (EXPERIMENTS.md E8).
+void RunPassCascade(llvm::Module* module) {
   llvm::legacy::FunctionPassManager fpm(module);
   fpm.add(llvm::createPromoteMemoryToRegisterPass());  // mem2reg
   fpm.add(llvm::createCFGSimplificationPass());
   fpm.add(llvm::createLoopUnrollPass());
   fpm.add(llvm::createDeadCodeEliminationPass());
   fpm.add(llvm::createInstructionCombiningPass());
+  fpm.add(llvm::createJumpThreadingPass());
+  fpm.add(llvm::createCorrelatedValuePropagationPass());
+  fpm.add(llvm::createCFGSimplificationPass());
+  fpm.add(llvm::createLoopRotatePass());
+  fpm.add(llvm::createLICMPass());
   fpm.doInitialization();
   for (auto& f : *module) {
     if (!f.isDeclaration()) fpm.run(f);
   }
   fpm.doFinalization();
-
-  llvm::legacy::PassManager mpm;
-  llvm::PassManagerBuilder pmb;
-  pmb.OptLevel = 3;
-  pmb.populateModulePassManager(mpm);
-  mpm.run(*module);
 }
 
 }  // namespace
@@ -130,9 +139,8 @@ Result<std::unique_ptr<JitEngine>> JitEngine::Create(QueryCache* cache) {
 uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
                                const JitOptions& options,
                                uint32_t codegen_version) {
-  uint64_t id = HashCombine(plan.id(), options.optimize ? 1 : 2);
   // Code persisted by another generator version must never be linked.
-  id = HashCombine(id, codegen_version);
+  uint64_t id = HashCombine(plan.id(), codegen_version);
   // The scan loop bakes in whether it prefetches, not how far: the
   // distance and the batch size only steer the interpreter.
   id = HashCombine(id, options.scan.prefetch_distance != 0 ? 1 : 2);
@@ -145,15 +153,14 @@ bool JitEngine::MemoLookup(uint64_t query_id, CompiledQuery* out) {
   std::lock_guard<std::mutex> lock(memo_mu_);
   auto it = memo_.find(query_id);
   if (it == memo_.end()) return false;
-  *out = it->second;
-  out->from_memo = true;
-  out->codegen_ms = out->optimize_ms = out->compile_ms = 0;
+  *out = AsMemoHit(it->second);
   return true;
 }
 
-void JitEngine::MemoInsert(const CompiledQuery& compiled) {
+CompiledQuery JitEngine::MemoInsert(const CompiledQuery& compiled) {
   std::lock_guard<std::mutex> lock(memo_mu_);
-  memo_[compiled.query_id] = compiled;
+  auto [it, inserted] = memo_.try_emplace(compiled.query_id, compiled);
+  return inserted ? compiled : AsMemoHit(it->second);
 }
 
 Result<CompiledQuery> JitEngine::Compile(const query::Plan& plan,
@@ -178,12 +185,8 @@ Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
     return pending;
   }
 
-  std::lock_guard<std::mutex> lock(compile_mu_);
-  // A compile of the same query may have landed while this one waited.
-  if (MemoLookup(query_id, &pending.result)) {
-    pending.done = true;
-    return pending;
-  }
+  // No compile lock from here on: a racer of the same query may do this
+  // work twice. The re-check below and MemoInsert keep one copy in use.
 
   // --- Persistent cache probe ------------------------------------------
   std::vector<char> cached;  // header + object bytes of a persisted compile
@@ -194,6 +197,12 @@ Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
       std::memcpy(&header, blob->data(), sizeof(header));
       if (header.magic == kBlobMagic) cached = std::move(*blob);
     }
+  }
+  // A racer may have published the query while the probe read the pool:
+  // reuse its code rather than create and link a second copy.
+  if (MemoLookup(query_id, &pending.result)) {
+    pending.done = true;
+    return pending;
   }
 
   // Injectable compile failure (jit.compile): lets tests and benches prove
@@ -246,7 +255,7 @@ Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
     pending.result.tail_index = header.tail_index;
     pending.result.num_handle_slots = header.num_handle_slots;
     pending.result.from_persistent_cache = true;
-    MemoInsert(pending.result);
+    pending.result = MemoInsert(pending.result);
     pending.done = true;
     return pending;
   }
@@ -265,22 +274,22 @@ Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
 
 Result<CompiledQuery> JitEngine::FinishCompile(PendingCompile pending) {
   if (pending.done) return pending.result;
-  // LLVM's legacy pass managers, the shared TargetMachine, and ORC session
-  // mutations must not run from two threads at once: an adaptive background
-  // compile racing a foreground Compile corrupts the heap or fails with
-  // "symbol already defined". One compile at a time; a racer that lost
-  // reuses the winner's memoized code instead of re-linking.
+  // The shared TargetMachine is not thread-safe, and two compiles of one
+  // query must not both link it ("symbol already defined"): an adaptive
+  // background compile racing a foreground Compile corrupted the heap or
+  // failed that way. One compile at a time; a racer that lost reuses the
+  // winner's memoized code instead of re-linking.
   std::lock_guard<std::mutex> lock(compile_mu_);
   CompiledQuery hit;
   if (MemoLookup(pending.result.query_id, &hit)) return hit;
   CompiledQuery result = pending.result;
 
-  // --- Optimization ---------------------------------------------------------
+  // --- Pass cascade ---------------------------------------------------------
   StopWatch watch;
-  if (pending.options.optimize) OptimizeModule(pending.code.module.get());
-  result.optimize_ms = watch.ElapsedMs();
+  RunPassCascade(pending.code.module.get());
+  result.cascade_ms = watch.ElapsedMs();
 
-  // --- Compilation to a relocatable object ---------------------------------
+  // --- Emission of a relocatable object -------------------------------------
   watch.Reset();
   llvm::orc::SimpleCompiler compiler(*tm_);
   auto object = compiler(*pending.code.module);
@@ -288,7 +297,7 @@ Result<CompiledQuery> JitEngine::FinishCompile(PendingCompile pending) {
     return Status::Internal("object compilation failed: " +
                             LlvmErrToString(object.takeError()));
   }
-  result.compile_ms = watch.ElapsedMs();
+  result.emit_ms = watch.ElapsedMs();
 
   // --- Persist, link, resolve -----------------------------------------------
   if (cache_ != nullptr && pending.options.use_persistent_cache) {
@@ -312,8 +321,7 @@ Result<CompiledQuery> JitEngine::FinishCompile(PendingCompile pending) {
                             LlvmErrToString(sym.takeError()));
   }
   result.fn = reinterpret_cast<CompiledQueryFn>(sym->getAddress());
-  MemoInsert(result);
-  return result;
+  return MemoInsert(result);
 }
 
 }  // namespace poseidon::jit

@@ -4,12 +4,17 @@
 //
 // Pass cascade (paper list): Promote Memory To Register, Control Flow Graph
 // Simplification, Loop Unrolling, Dead Code Elimination, Instruction
-// Combining — followed by the standard -O3 pipeline, which runs
-// size-conscious because generated functions carry `optsize` (codegen.cc).
+// Combining — followed by five passes of the standard -O3 pipeline (Jump
+// Threading, Correlated Value Propagation, CFG Simplification, Loop
+// Rotation, LICM), which keep its speed on the IS plans (geometric mean)
+// at a fifth of its compile time (EXPERIMENTS.md E8). The module then goes
+// to the default-level backend; generated functions carry `optsize`
+// (codegen.cc).
 
 #ifndef POSEIDON_JIT_JIT_ENGINE_H_
 #define POSEIDON_JIT_JIT_ENGINE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,10 +43,11 @@ struct CompiledQuery {
   uint64_t query_id = 0;
   bool from_persistent_cache = false;
   bool from_memo = false;
-  /// Wall-clock compilation cost (0 when memoized).
+  /// Wall-clock compilation cost by phase (all 0 when memoized): IR
+  /// generation, the pass cascade, and object emission by the backend.
   double codegen_ms = 0;
-  double optimize_ms = 0;
-  double compile_ms = 0;
+  double cascade_ms = 0;
+  double emit_ms = 0;
 };
 
 /// Version of the generated code, mixed into every compiled-code cache key.
@@ -49,12 +55,11 @@ struct CompiledQuery {
 /// this whenever the emitted code changes shape or the JitHandle /
 /// JitStateHeader layout it reads changes: entries cached by another
 /// version then miss and are compiled afresh instead of being linked.
-inline constexpr uint32_t kCodegenVersion = 4;
+inline constexpr uint32_t kCodegenVersion = 5;
 
+/// Per-compile options. Every plan gets the same pass cascade and backend
+/// level (EXPERIMENTS.md E8), so neither is an option.
 struct JitOptions {
-  /// Run the optimization pass cascade + O3 (paper §6.2). Disable for the
-  /// ablation benchmark only.
-  bool optimize = true;
   /// Consult/fill the persistent code cache.
   bool use_persistent_cache = true;
   /// Scan knobs: the generated scan loop bakes in whether
@@ -86,10 +91,12 @@ class JitEngine {
   /// Two-phase compilation for adaptive execution: BeginCompile performs
   /// every plan-dependent step (memo/cache probe + IR generation)
   /// synchronously — afterwards the plan may be destroyed — and
-  /// FinishCompile runs the expensive optimization/compilation/linking on
-  /// the self-contained pending state (typically on a background thread).
-  /// The `jit.compile` fault site fires only where code is about to be
-  /// generated, never on a memo or persistent-cache hit.
+  /// FinishCompile runs the expensive pass cascade, object emission and
+  /// linking on the self-contained pending state (typically on a
+  /// background thread). BeginCompile takes no compile lock, so it never
+  /// waits for another plan's FinishCompile. The `jit.compile` fault site
+  /// fires only where code is about to be generated, never on a memo or
+  /// persistent-cache hit.
   struct PendingCompile {
     bool done = false;         ///< memo/cache hit: `result` is final
     CompiledQuery result;
@@ -118,20 +125,25 @@ class JitEngine {
   /// Copies the memoized code for `query_id` into `*out` as a memo hit
   /// (from_memo set, compile times zeroed); false when there is none.
   bool MemoLookup(uint64_t query_id, CompiledQuery* out);
-  void MemoInsert(const CompiledQuery& compiled);
+  /// Publishes `compiled` unless a racer published the query first, and
+  /// returns the entry the memo then holds, so every caller runs one copy.
+  CompiledQuery MemoInsert(const CompiledQuery& compiled);
 
   std::unique_ptr<llvm::orc::LLJIT> jit_;
   std::unique_ptr<llvm::TargetMachine> tm_;
   QueryCache* cache_ = nullptr;
-  /// Serializes everything that touches LLVM or the ORC session (JITDylib
-  /// creation, persistent-cache linking, IR generation, optimization,
-  /// codegen, linking); held for a whole compile.
+  /// Serializes FinishCompile (the pass cascade, the shared TargetMachine's
+  /// object emission, linking); held for a whole compile. BeginCompile does
+  /// not take it: ORC's session lock covers its JITDylib and linking calls,
+  /// and IR generation works in the module's own LLVMContext.
   std::mutex compile_mu_;
   /// Guards memo_ only, so a memo hit never waits for a compile. Taken
   /// inside compile_mu_ when both are held.
   std::mutex memo_mu_;
   std::unordered_map<uint64_t, CompiledQuery> memo_;
-  uint64_t dylib_counter_ = 0;  ///< guarded by compile_mu_
+  /// Names each compile's JITDylib. Racers of one query that both miss
+  /// BeginCompile's memo checks each create one; the loser's stays unused.
+  std::atomic<uint64_t> dylib_counter_{0};
 };
 
 }  // namespace poseidon::jit

@@ -76,17 +76,17 @@ void JitQueryEngine::CompileInBackground(
     const std::shared_ptr<std::atomic<CompiledQueryFn>>& task_fn,
     ExecStats* stats) {
   // A repeated adaptive run of a plan whose compile is queued or running
-  // starts interpreted at once: BeginCompile would wait for the compile
-  // lock that compile holds.
+  // starts interpreted at once, without generating its IR again.
   const uint64_t qid = JitEngine::QueryIdFor(plan, options);
   {
     std::lock_guard<std::mutex> lock(bg_mu_);
     if (bg_query_ids_.count(qid) != 0) return;
   }
   // The plan-dependent phases (memo/cache probe + IR generation) run
-  // synchronously — sub-millisecond — so the caller's plan may be destroyed
-  // right after Execute returns; only the expensive optimization,
-  // compilation and linking run on the compile worker.
+  // synchronously — sub-millisecond, and never behind another plan's
+  // compile — so the caller's plan may be destroyed right after
+  // Execute returns; only the expensive pass cascade, object emission and
+  // linking run on the compile worker.
   auto pending = engine_->BeginCompile(plan, options);
   if (!pending.ok()) {
     stats->jit_fallback = true;  // all morsels run interpreted
@@ -234,8 +234,8 @@ Result<QueryResult> JitQueryEngine::Execute(
     auto compiled = engine_->Compile(plan, jit_options);
     if (compiled.ok() && compiled->num_handle_slots <= kMaxHandleSlots) {
       task_fn->store(compiled->fn, std::memory_order_relaxed);
-      stats->compile_ms = compiled->codegen_ms + compiled->optimize_ms +
-                          compiled->compile_ms;
+      stats->compile_ms =
+          compiled->codegen_ms + compiled->cascade_ms + compiled->emit_ms;
       stats->cache_hit = compiled->from_persistent_cache;
       stats->memo_hit = compiled->from_memo;
     } else {

@@ -355,25 +355,6 @@ TEST_F(JitTest, AdaptiveMatchesInterpreter) {
   engine_->WaitForBackgroundCompiles();
 }
 
-TEST_F(JitTest, UnoptimizedCompilationStillCorrect) {
-  const auto& s = ds_->schema;
-  Plan p = PlanBuilder()
-               .NodeScan(s.post)
-               .FilterProperty(0, s.length, CmpOp::kGt,
-                               Expr::Literal(Value::Int(100)))
-               .Count()
-               .Build();
-  JitOptions no_opt;
-  no_opt.optimize = false;
-  auto aot = Run(p, {}, ExecutionMode::kInterpret);
-  auto tx = mgr_->Begin();
-  auto jit = engine_->Execute(p, tx.get(), {}, ExecutionMode::kJit, nullptr,
-                              no_opt);
-  ASSERT_TRUE(jit.ok()) << jit.status().ToString();
-  ASSERT_TRUE(tx->Commit().ok());
-  EXPECT_EQ(aot->rows[0][0].AsInt(), jit->rows[0][0].AsInt());
-}
-
 TEST_F(JitTest, JitSeesOwnUncommittedWrites) {
   const auto& s = ds_->schema;
   Plan count = PlanBuilder().NodeScan(s.person).Count().Build();

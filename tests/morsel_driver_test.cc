@@ -280,13 +280,14 @@ class MorselDriverTest : public ::testing::Test {
     return r;
   }
 
-  /// An IndexScan with 30 Filters and a Project (32 operators), whose
-  /// compile takes long enough to show a wait behind it. `base` keeps the
-  /// plans of different tests apart.
+  /// An IndexScan with 60 Filters and a Project (62 operators), whose
+  /// compile takes long enough to show a wait behind it (230–760 ms on a
+  /// 4-vCPU host, where 30 Filters took 106–341 ms, too near the harness's
+  /// 100 ms skip). `base` keeps the plans of different tests apart.
   static Plan LargePlan(int64_t base) {
     PlanBuilder b = PlanBuilder().IndexScan(person_, id_,
                                             Expr::Literal(Value::Int(8)));
-    for (int i = 0; i < 30; ++i) {
+    for (int i = 0; i < 60; ++i) {
       PlanBuilder next = std::move(b).FilterProperty(
           0, age_, CmpOp::kNe, Expr::Literal(Value::Int(base + i)));
       b = std::move(next);
@@ -295,13 +296,13 @@ class MorselDriverTest : public ::testing::Test {
   }
 
   /// Queues `large`'s background compile in `engine` with a kAdaptive run
-  /// (which generates the IR inline and leaves optimization, codegen and
-  /// linking to the compile worker), then repeats `probe` until the compile
-  /// lands. A probe that queued behind the compile lock waits out nearly
-  /// the whole compile; a host stall under a parallel test run can pass
-  /// 20 ms, and stalls grow with load just as the compile does, so the
-  /// slowest probe must stay under max(20 ms, compile / 4). Skips when the
-  /// compile took under 100 ms, too short to show a wait.
+  /// (which generates the IR inline and leaves the pass cascade, object
+  /// emission and linking to the compile worker), then repeats `probe`
+  /// until the compile lands. A probe that queued behind the compile lock
+  /// waits out nearly the whole compile; a host stall under a parallel test
+  /// run can pass 20 ms, and stalls grow with load just as the compile
+  /// does, so the slowest probe must stay under max(20 ms, compile / 4).
+  /// Skips when the compile took under 100 ms, too short to show a wait.
   template <typename Probe>
   static void ExpectNoWaitDuringCompile(JitQueryEngine* engine,
                                         const Plan& large, const char* what,
@@ -554,7 +555,7 @@ TEST_F(MorselDriverTest, ThreadsShareImmutablePlansInKJit) {
 TEST_F(MorselDriverTest, MemoHitDoesNotWaitForAnotherPlansCompile) {
   // The memo has its own lock: a kJit run of already-compiled code must
   // not queue behind a background compile of another plan, which holds the
-  // compile lock for its whole optimization, codegen and linking.
+  // compile lock for its whole pass cascade, object emission and linking.
   auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Plan point = PlanBuilder()
@@ -571,6 +572,36 @@ TEST_F(MorselDriverTest, MemoHitDoesNotWaitForAnotherPlansCompile) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(stats.memo_hit);
   });
+}
+
+TEST_F(MorselDriverTest, FirstAdaptiveRunDoesNotWaitForAnotherPlansCompile) {
+  // A first kAdaptive run of a plan not in the memo generates its IR and
+  // queues its compile behind the one in flight, then starts interpreted;
+  // it must not wait for the compile lock another plan's compile holds.
+  // Each probe's literal makes a plan of its own. Every probe queues a
+  // compile and the harness waits for all of them, so only the first few
+  // probes make plans.
+  constexpr int64_t kFreshPlans = 8;
+  auto engine = JitQueryEngine::Create(store_, indexes_, 2, nullptr);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  int64_t fresh = 0;
+  ExpectNoWaitDuringCompile(
+      engine->get(), LargePlan(3000), "first adaptive runs", [&] {
+        if (fresh == kFreshPlans) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return;
+        }
+        Plan plan = PlanBuilder()
+                        .IndexScan(person_, id_,
+                                   Expr::Literal(Value::Int(++fresh)))
+                        .Project({Expr::Property(0, age_)})
+                        .Build();
+        ExecStats stats;
+        auto r = Run(plan, Source::kNodeScan, ExecutionMode::kAdaptive,
+                     &stats, engine->get());
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_FALSE(stats.memo_hit);
+      });
 }
 
 TEST_F(MorselDriverTest, AdaptiveRerunDoesNotWaitForItsOwnCompile) {
